@@ -381,6 +381,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         corpus_from_golden,
         predict,
     )
+    from repro.predict.corpus import registry_name
 
     golden_dir = args.golden_dir or _default_golden_dir()
     scenario = None
@@ -417,16 +418,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     else:
         node_counts = [1, 2, 4, 8, 16, 32, 64]
     suite = args.suite or (scenario.suite if scenario else None) or "tiny"
-    # golden truth and the surrogate corpus describe the *registry*
-    # clusters at nominal clock; a zoo machine or a re-clocked scenario
-    # must neither be compared against them nor corrected by them
-    calibrated = scenario is None or args.cluster is not None or (
-        scenario.cluster in ("A", "B", "ClusterA", "ClusterB")
-        and (scenario.frequency is None
-             or scenario.frequency.canonical_record(
-                 clusters[0][1].node.cpu.nominal_clock_hz) is None)
-    )
-
     # reference corpus: DES ground truth for the error-bar column (and
     # the surrogate's training data)
     if args.corpus is not None:
@@ -440,6 +431,10 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     for bname in benchmarks:
         for cname, cluster in clusters:
+            # golden truth and the surrogate corpus describe the registry
+            # machines; a zoo machine or a re-clocked scenario must
+            # neither be compared against them nor corrected by them
+            calibrated = registry_name(cluster) is not None
             for nnodes in node_counts:
                 spec = PredictionSpec(
                     benchmark=bname, cluster=cluster.name, nnodes=nnodes,

@@ -10,7 +10,6 @@ checkpoint/resume) — see :mod:`repro.harness.parallel`.
 
 from repro.harness.checkpoint import (
     compact,
-    fsync_dir,
     load_checkpoint,
     load_journal,
     spec_key,
@@ -47,7 +46,6 @@ __all__ = [
     "load_checkpoint",
     "load_journal",
     "compact",
-    "fsync_dir",
     "engine_run_count",
     "Executor",
     "ExecutorCapabilities",

@@ -1,14 +1,16 @@
 """JSONL sweep checkpointing and the fabric lease journal.
 
-A checkpoint file holds one JSON line per record.  Two record kinds
-share the file:
+A checkpoint is a :class:`~repro.store.JsonlLog` holding two record
+kinds:
 
-* ``result`` — a *successfully completed* sweep point, keyed by a stable
-  digest of the point's :class:`~repro.harness.parallel.RunSpec`.  A
-  killed sweep re-run with the same checkpoint path restores every
-  recorded point without re-simulating it and continues from the first
-  missing one; points whose spec changed (different seed, suite, fault
-  plan, ...) get fresh keys and re-run automatically.
+* ``result`` — a *successfully completed* sweep point, keyed by
+  :func:`spec_key`, the content identity of the point's resolved
+  parameters (benchmark, the cluster's parameter digest, ranks, suite,
+  seed, noise, steps, threads, fault plan).  A killed sweep re-run with
+  the same checkpoint path restores every recorded point without
+  re-simulating it and continues from the first missing one; a point
+  whose parameters changed — a different seed or fault plan, or the same
+  cluster name at another clock — gets a fresh key and re-runs.
 * ``event`` — a work-state transition journaled by the fabric manager
   (``lease`` / ``requeue`` / ``complete`` / ``failed`` / ``timeout`` /
   ``duplicate``).  Events are observability for crash forensics: after a
@@ -21,161 +23,100 @@ are retried — the common reason to resume is that whatever killed the
 sweep (OOM, a node reboot, a buggy fault plan since fixed) has been
 addressed.
 
-The format is append-only and crash-tolerant: a truncated final line
-(killed mid-write) is skipped on load.  Appends are last-record-wins, so
-a key written twice (a point re-run after a partial resume) resolves to
-the newest result; :func:`compact` rewrites the file atomically with one
-line per completed key and no events — :func:`~repro.harness.parallel.
-run_many` invokes it on every resume so checkpoint files do not grow
-without bound across retry/resume cycles.
+Appends are last-record-wins, so a key written twice resolves to the
+newest result; :func:`compact` atomically rewrites the file with one line
+per completed key and no events, and returns the folded results —
+:func:`~repro.harness.parallel.run_many` calls it on every resume, so the
+file is read once and does not grow without bound.
 
-Schema history: version 1 records (``{"version": 1, "key": ..., and
-"result": ...}``) are still read; new records carry ``"schema": 2`` and
-an explicit ``"kind"``.
+Schema 3 keys results by resolved parameters.  Records of schemas 1 and
+2 were keyed by cluster *name* (a re-clocked machine shared its nominal
+twin's key), so they are ignored and their points recomputed.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from typing import Any
 
+from repro.harness.results import RunResult
+from repro.store import JsonlLog, content_key, fault_digest
+
 __all__ = [
     "CHECKPOINT_SCHEMA",
-    "ACCEPTED_SCHEMAS",
-    "CHECKPOINT_VERSION",
+    "SPEC_SCHEMA",
+    "spec_record",
     "spec_key",
     "load_checkpoint",
     "load_journal",
     "append_checkpoint",
     "append_event",
     "compact",
-    "fsync_dir",
 ]
 
-from repro.harness.results import RunResult
-
-#: Schema stamp written with every new record (bump on incompatible change).
-CHECKPOINT_SCHEMA = 2
-#: Schemas the loader accepts (1 = the original result-only format).
-ACCEPTED_SCHEMAS = (1, 2)
-#: Back-compat alias for the original name.
-CHECKPOINT_VERSION = CHECKPOINT_SCHEMA
+#: Schema stamp written with every record (bump on incompatible change).
+CHECKPOINT_SCHEMA = 3
+#: Version of :func:`spec_record` (bump when its fields change: old keys
+#: then miss and recompute).  3: the cluster enters by parameter digest.
+SPEC_SCHEMA = 3
 
 
-def fsync_dir(path: str) -> None:
-    """fsync the directory containing ``path``.
-
-    ``os.replace`` makes the new name visible, but only a directory
-    fsync makes the *rename itself* durable — without it a crash after
-    an fsynced-temp-then-replace can resurrect the replaced file (the
-    data blocks survived, the directory entry update did not).  On
-    platforms without ``os.O_DIRECTORY`` (Windows) this degrades to a
-    no-op, matching fsync semantics there.
-    """
-    dirname = os.path.dirname(os.path.abspath(path))
-    flag = getattr(os, "O_DIRECTORY", None)
-    if flag is None:  # pragma: no cover - POSIX-only guard
-        return
-    dirfd = os.open(dirname, os.O_RDONLY | flag)
-    try:
-        os.fsync(dirfd)
-    finally:
-        os.close(dirfd)
+def spec_record(spec: Any) -> dict[str, Any]:
+    """The resolved parameters a RunSpec's result depends on
+    (duck-typed: any object with the spec's fields works).  Engine-mode
+    flags are absent: every engine mode is bit-identical."""
+    return {
+        "schema": SPEC_SCHEMA,
+        "benchmark": spec.benchmark.name,
+        "cluster": spec.cluster.digest,
+        "nprocs": spec.nprocs,
+        "suite": spec.suite,
+        "sim_steps": spec.sim_steps,
+        "noise_sigma": float(spec.noise_sigma).hex(),
+        "seed": spec.seed,
+        "threads": spec.threads_per_rank,
+        "faults": fault_digest(getattr(spec, "faults", None)),
+    }
 
 
 def spec_key(spec: Any) -> str:
-    """Stable identity digest of a RunSpec (duck-typed: any object with
-    the spec's fields works)."""
-    faults = getattr(spec, "faults", None)
-    fault_part = "-" if faults is None else hashlib.sha256(
-        faults.to_json().encode()
-    ).hexdigest()[:16]
-    raw = "|".join(
-        str(x)
-        for x in (
-            spec.benchmark.name,
-            spec.cluster.name,
-            spec.nprocs,
-            spec.suite,
-            spec.sim_steps,
-            spec.noise_sigma,
-            spec.seed,
-            spec.threads_per_rank,
-            fault_part,
-        )
-    )
-    return hashlib.sha256(raw.encode()).hexdigest()[:24]
+    """Content identity of a RunSpec: :func:`~repro.store.content_key`
+    of :func:`spec_record`."""
+    return content_key(spec_record(spec))
 
 
-def _parse_line(line: str) -> dict[str, Any] | None:
-    """One JSONL line -> normalized ``{"kind": ..., "key": ..., ...}``
-    doc, or ``None`` for blank/corrupt/unknown-schema lines."""
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        doc = json.loads(line)
-        schema = doc.get("schema", doc.get("version"))
-        if schema not in ACCEPTED_SCHEMAS:
-            return None
-        kind = doc.get("kind", "result")  # schema-1 records are results
-        if kind == "result":
-            return {
-                "kind": "result",
-                "key": doc["key"],
-                "result": RunResult.from_checkpoint_dict(doc["result"]),
-            }
-        if kind == "event":
-            out = {k: v for k, v in doc.items() if k != "schema"}
-            out["key"]  # events must be keyed
-            return out
-        return None
-    except (ValueError, KeyError, TypeError):
-        # truncated/corrupt trailing line from a killed writer: skip it
-        return None
+def _result(key: str, result: RunResult) -> dict[str, Any]:
+    return {"key": key, "result": result.to_checkpoint_dict()}
+
+
+def _parse(doc: dict[str, Any]):
+    """A record -> ``(kind, key, payload)``, or ``None`` if unknown."""
+    if doc["kind"] == "result":
+        return "result", doc["key"], RunResult.from_checkpoint_dict(doc["result"])
+    if doc["kind"] == "event":
+        return "event", doc["key"], {k: v for k, v in doc.items() if k != "schema"}
+    return None
+
+
+def _scan(path: str, kind: str) -> list:
+    return [(key, payload) for k, key, payload
+            in JsonlLog(path, CHECKPOINT_SCHEMA).scan(_parse) if k == kind]
 
 
 def load_checkpoint(path: str) -> dict[str, RunResult]:
-    """Read every valid result record (last record wins per key);
-    missing file means an empty checkpoint."""
-    if not os.path.exists(path):
-        return {}
-    records: dict[str, RunResult] = {}
-    with open(path) as fh:
-        for line in fh:
-            doc = _parse_line(line)
-            if doc is not None and doc["kind"] == "result":
-                records[doc["key"]] = doc["result"]
-    return records
+    """Every valid result (last record wins per key); a missing file is
+    an empty checkpoint."""
+    return dict(_scan(path, "result"))
 
 
 def load_journal(path: str) -> list[dict[str, Any]]:
-    """Read every valid event record, in file (= chronological) order."""
-    if not os.path.exists(path):
-        return []
-    events: list[dict[str, Any]] = []
-    with open(path) as fh:
-        for line in fh:
-            doc = _parse_line(line)
-            if doc is not None and doc["kind"] == "event":
-                events.append(doc)
-    return events
+    """Every valid event record, in file (= chronological) order."""
+    return [event for _, event in _scan(path, "event")]
 
 
 def append_checkpoint(path: str, key: str, result: RunResult) -> None:
     """Durably append one completed point."""
-    record = {
-        "schema": CHECKPOINT_SCHEMA,
-        "kind": "result",
-        "key": key,
-        "result": result.to_checkpoint_dict(),
-    }
-    with open(path, "a") as fh:
-        fh.write(json.dumps(record) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
+    JsonlLog(path, CHECKPOINT_SCHEMA).append("result", _result(key, result))
 
 
 def append_event(path: str, event: str, key: str, **fields: Any) -> None:
@@ -185,51 +126,22 @@ def append_event(path: str, event: str, key: str, **fields: Any) -> None:
     not the source of truth for resume — losing the tail of the journal
     in a crash costs nothing but detail in the post-mortem.
     """
-    record = {
-        "schema": CHECKPOINT_SCHEMA,
-        "kind": "event",
-        "event": event,
-        "key": key,
-        **fields,
-    }
-    with open(path, "a") as fh:
-        fh.write(json.dumps(record) + "\n")
-        fh.flush()
+    JsonlLog(path, CHECKPOINT_SCHEMA).append(
+        "event", {"event": event, "key": key, **fields}, fsync=False
+    )
 
 
-def compact(path: str) -> int:
-    """Atomically rewrite ``path`` with one result line per key.
+def compact(path: str) -> dict[str, RunResult]:
+    """Atomically rewrite ``path`` with one result line per key and
+    return those results.
 
-    Keeps the *last* result per key (the newest re-run wins), drops
-    transient event records and corrupt lines, and replaces the file via
-    an fsynced temporary so a crash mid-compaction leaves either the old
-    or the new file — never a torn one.  Returns the number of result
-    records kept.  A missing file is a no-op.
+    Keeps the *last* result per key (the newest re-run wins) in
+    first-completion order, and drops events, corrupt lines and records
+    of older schemas.  A missing file is a no-op.
     """
-    if not os.path.exists(path):
-        return 0
-    records: dict[str, RunResult] = {}
-    with open(path) as fh:
-        for line in fh:
-            doc = _parse_line(line)
-            if doc is not None and doc["kind"] == "result":
-                # dict insertion order keeps first-completion order while
-                # the assignment keeps the newest record per key
-                records[doc["key"]] = doc["result"]
-    tmp = path + ".compact.tmp"
-    with open(tmp, "w") as fh:
-        for key, result in records.items():
-            fh.write(json.dumps({
-                "schema": CHECKPOINT_SCHEMA,
-                "kind": "result",
-                "key": key,
-                "result": result.to_checkpoint_dict(),
-            }) + "\n")
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    # the temp file's bytes are durable, but the rename is not until the
-    # directory entry is too — without this a crash can resurrect the
-    # pre-compact file
-    fsync_dir(path)
-    return len(records)
+    records = load_checkpoint(path)
+    if os.path.exists(path):
+        JsonlLog(path, CHECKPOINT_SCHEMA).rewrite(
+            ("result", _result(key, result)) for key, result in records.items()
+        )
+    return records

@@ -74,7 +74,6 @@ from typing import Optional, Sequence, Union
 from repro.harness.checkpoint import (
     append_checkpoint,
     compact,
-    load_checkpoint,
     spec_key,
 )
 from repro.harness.results import FailedRun, RunResult
@@ -277,9 +276,8 @@ def run_many(
         # resume is the natural point to fold the file back to one
         # result line per completed spec (atomically — a crash here
         # leaves the old file intact)
-        compact(checkpoint)
+        saved = compact(checkpoint)
         keys = [spec_key(s) for s in specs]
-        saved = load_checkpoint(checkpoint)
         for i, key in enumerate(keys):
             if key in saved:
                 results[i] = saved[key]

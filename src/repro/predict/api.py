@@ -37,7 +37,7 @@ from typing import Any, Protocol
 from repro.machine.registry import get_cluster
 from repro.perfmon.rapl import EnergyReading
 from repro.predict.analytic import SAMPLE_LIMIT, AnalyticEstimate, analytic_prediction
-from repro.predict.corpus import CorpusSample, PredictionCorpus
+from repro.predict.corpus import CorpusSample, PredictionCorpus, registry_name
 from repro.predict.surrogate import ResidualSurrogate
 from repro.spechpc.suite import get_benchmark
 
@@ -253,10 +253,11 @@ class DesPredictionTier:
             threads_per_rank=spec.threads,
             **self.run_kwargs,
         )
-        if self.corpus is not None:
+        name = None if self.corpus is None else registry_name(cluster)
+        if name is not None:
             self.corpus.add(CorpusSample(
                 benchmark=result.benchmark,
-                cluster=cluster.name,
+                cluster=name,
                 suite=spec.suite,
                 nnodes=result.nnodes,
                 nprocs=result.nprocs,

@@ -1,11 +1,17 @@
 """The prediction corpus: completed DES runs the surrogate learns from.
 
 One :class:`CorpusSample` per simulated point — the DES runtime and
-energy for a ``(benchmark, cluster, suite, nnodes)`` query.  The corpus
-follows the :mod:`repro.harness.checkpoint` idioms: an append-only JSONL
-file with a schema stamp and a stable sha256 key per sample, tolerant of
-corrupt trailing lines (a killed writer), last-record-wins on duplicate
-keys, fsynced appends, and an atomic :meth:`PredictionCorpus.compact`.
+energy for a ``(benchmark, cluster, suite, nnodes)`` query.  A backed
+corpus is a :class:`~repro.store.JsonlLog` of ``sample`` records: fsynced
+appends, torn or corrupt lines skipped (and counted in
+:attr:`PredictionCorpus.rejected_lines`), last record wins per key, and
+an atomic :meth:`PredictionCorpus.compact`.
+
+A sample's key (:func:`sample_key`) hashes the *parameter digest* of its
+registry cluster, not the cluster's name.  Each record stores the key it
+was written under; on load a sample whose stored key differs from its
+recomputed one — the registry machine's parameters changed since, or the
+line was edited — is dropped rather than trusted.
 
 Two feeders fill it:
 
@@ -18,13 +24,16 @@ Two feeders fill it:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import cached_property
+from typing import Any, Optional
+
+from repro.store import JsonlLog, content_key
 
 #: Schema stamp written with every record (bump on incompatible change).
-CORPUS_SCHEMA = 1
+#: 2: keys hash the registry cluster's parameter digest.
+CORPUS_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -40,7 +49,7 @@ class CorpusSample:
     elapsed: float         # DES full-run runtime [s]
     total_energy: float    # DES chip + DRAM energy [J]
 
-    @property
+    @cached_property
     def key(self) -> str:
         return sample_key(
             self.benchmark, self.cluster, self.suite,
@@ -57,26 +66,41 @@ def sample_key(
     benchmark: str, cluster: str, suite: str,
     nnodes: int, nprocs: int, threads: int,
 ) -> str:
-    """Stable identity digest of one corpus point (spec_key idiom)."""
-    raw = "|".join(
-        str(x) for x in (benchmark, cluster, suite, nnodes, nprocs, threads)
-    )
-    return hashlib.sha256(raw.encode()).hexdigest()[:24]
+    """Identity of one corpus point; ``cluster`` is a registry name and
+    enters by its machine's parameter digest."""
+    from repro.machine.registry import get_cluster
+
+    return content_key({
+        "schema": CORPUS_SCHEMA, "benchmark": benchmark,
+        "cluster": get_cluster(cluster).digest, "suite": suite,
+        "nnodes": nnodes, "nprocs": nprocs, "threads": threads,
+    })
 
 
-def _parse_line(line: str) -> CorpusSample | None:
-    """One JSONL line -> sample, or ``None`` for blank/corrupt/unknown
-    lines (truncated tail from a killed writer)."""
-    line = line.strip()
-    if not line:
+def registry_name(cluster: Any) -> Optional[str]:
+    """``cluster.name`` when the registry machine of that name has the
+    same parameters (capacity aside), else ``None``: only runs on a
+    calibrated registry machine may train the corpus."""
+    from repro.machine.registry import CLUSTERS
+
+    reg = CLUSTERS.get(cluster.name)
+    if reg is None:
         return None
-    try:
-        doc = json.loads(line)
-        if doc.get("schema") != CORPUS_SCHEMA or doc.get("kind") != "sample":
-            return None
-        return CorpusSample(**doc["sample"])
-    except (ValueError, KeyError, TypeError):
+    if cluster.max_nodes != reg.max_nodes:
+        cluster = replace(cluster, max_nodes=reg.max_nodes)
+    return reg.name if cluster.digest == reg.digest else None
+
+
+def _record(sample: CorpusSample) -> tuple[str, dict[str, Any]]:
+    return "sample", {"key": sample.key, "sample": asdict(sample)}
+
+
+def _parse(doc: dict[str, Any]) -> Optional[CorpusSample]:
+    """A ``sample`` record whose stored key still matches, else None."""
+    if doc["kind"] != "sample":
         return None
+    sample = CorpusSample(**doc["sample"])
+    return sample if sample.key == doc["key"] else None
 
 
 class PredictionCorpus:
@@ -89,13 +113,11 @@ class PredictionCorpus:
 
     def __init__(self, path: str | None = None) -> None:
         self.path = path
-        self._samples: dict[str, CorpusSample] = {}
-        if path is not None and os.path.exists(path):
-            with open(path) as fh:
-                for line in fh:
-                    s = _parse_line(line)
-                    if s is not None:
-                        self._samples[s.key] = s   # last record wins
+        self._log = None if path is None else JsonlLog(path, CORPUS_SCHEMA)
+        samples = [] if self._log is None else self._log.scan(_parse)
+        #: lines present in the file but skipped on load
+        self.rejected_lines = 0 if self._log is None else self._log.rejected
+        self._samples = {s.key: s for s in samples}   # last record wins
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -110,17 +132,8 @@ class PredictionCorpus:
         """Insert (or replace) one sample; durably appended when backed
         by a file."""
         self._samples[sample.key] = sample
-        if self.path is not None:
-            record = {
-                "schema": CORPUS_SCHEMA,
-                "kind": "sample",
-                "key": sample.key,
-                "sample": asdict(sample),
-            }
-            with open(self.path, "a") as fh:
-                fh.write(json.dumps(record) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
+        if self._log is not None:
+            self._log.append(*_record(sample))
 
     def group(self, group: tuple) -> list[CorpusSample]:
         """Samples of one scaling curve, sorted by node count."""
@@ -133,27 +146,10 @@ class PredictionCorpus:
         return sorted({s.group for s in self._samples.values()})
 
     def compact(self) -> int:
-        """Atomically rewrite the backing file with one line per key
-        (fsynced temp + replace; a crash leaves old or new, never torn).
+        """Atomically rewrite the backing file with one line per key.
         Returns the number of samples kept; memory-only corpora no-op."""
-        if self.path is None or not os.path.exists(self.path):
-            return len(self._samples)
-        tmp = self.path + ".compact.tmp"
-        with open(tmp, "w") as fh:
-            for key, sample in self._samples.items():
-                fh.write(json.dumps({
-                    "schema": CORPUS_SCHEMA,
-                    "kind": "sample",
-                    "key": key,
-                    "sample": asdict(sample),
-                }) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
-        # make the rename itself durable, not just the temp file's bytes
-        from repro.harness.checkpoint import fsync_dir
-
-        fsync_dir(self.path)
+        if self._log is not None and os.path.exists(self.path):
+            self._log.rewrite(map(_record, self._samples.values()))
         return len(self._samples)
 
 

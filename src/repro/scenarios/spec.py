@@ -23,14 +23,14 @@ platform-free), matching :mod:`repro.validate.golden`.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.machine.cluster import ClusterSpec
-from repro.scenarios.zoo import ZooError, cluster_from_dict, load_zoo_cluster
+from repro.machine.cluster import ClusterSpec, canonical_cluster_record
+from repro.scenarios.zoo import ZooError, cluster_from_dict
+from repro.store import content_key, fault_digest
 
 SCENARIO_SCHEMA = 1
 
@@ -188,66 +188,6 @@ class FrequencyPlan:
 
 
 # --------------------------------------------------------------------------
-# cluster canonicalization
-# --------------------------------------------------------------------------
-
-
-def _hx(value: float) -> str:
-    return float(value).hex()
-
-
-def canonical_cluster_record(cluster: ClusterSpec) -> dict[str, Any]:
-    """Every parameter that can move a simulated result, floats
-    hex-encoded; pure labels (cluster/CPU names, ISA string, launch
-    year, extras, cache-level names) are excluded, so equal machines
-    digest equally regardless of what they are called."""
-    cpu = cluster.node.cpu
-    levels = [
-        {
-            "capacity": _hx(lvl.capacity_bytes),
-            "shared_by_cores": lvl.shared_by_cores,
-            "bandwidth_per_core": _hx(lvl.bandwidth_per_core),
-            "victim": lvl.victim,
-        }
-        for lvl in cpu.hierarchy.levels()
-    ]
-    net = cluster.network
-    return {
-        "max_nodes": cluster.max_nodes,
-        "sockets": cluster.node.sockets,
-        "memory_bytes": _hx(cluster.node.memory_bytes),
-        "cpu": {
-            "base_clock_hz": _hx(cpu.base_clock_hz),
-            "nominal_clock_hz": _hx(cpu.nominal_clock_hz),
-            "cores": cpu.cores,
-            "numa_domains": cpu.numa_domains,
-            "simd_width_dp": cpu.simd_width_dp,
-            "fma_units": cpu.fma_units,
-            "memory_channels": cpu.memory_channels,
-            "memory_transfer_rate": _hx(cpu.memory_transfer_rate),
-            "memory_bus_bytes": cpu.memory_bus_bytes,
-            "sustained_bw_fraction": _hx(cpu.sustained_bw_fraction),
-            "single_core_mem_bw": _hx(cpu.single_core_mem_bw),
-            "tdp_w": _hx(cpu.tdp_w),
-            "idle_power_w": _hx(cpu.idle_power_w),
-            "dram_idle_power_w": _hx(cpu.dram_idle_power_w),
-            "dram_power_per_gbs": _hx(cpu.dram_power_per_gbs),
-            "caches": levels,
-        },
-        "network": {
-            "link_bandwidth": _hx(net.link_bandwidth),
-            "efficiency": _hx(net.efficiency),
-            "latency": _hx(net.latency),
-            "intra_node_bandwidth": _hx(net.intra_node_bandwidth),
-            "intra_node_latency": _hx(net.intra_node_latency),
-            "eager_threshold": net.eager_threshold,
-            "rendezvous_handshake": _hx(net.rendezvous_handshake),
-            "per_message_overhead": _hx(net.per_message_overhead),
-        },
-    }
-
-
-# --------------------------------------------------------------------------
 # the scenario
 # --------------------------------------------------------------------------
 
@@ -401,12 +341,6 @@ class Scenario:
         (a zoo reference and an equal inline spec produce the same
         record; the display name does not participate)."""
         cluster = self.base_cluster()
-        plan = self.fault_plan()
-        fault_digest = None
-        if plan is not None and not plan.empty:
-            fault_digest = hashlib.sha256(
-                plan.to_json().encode()
-            ).hexdigest()[:16]
         freq = None
         if self.frequency is not None:
             freq = self.frequency.canonical_record(
@@ -418,17 +352,14 @@ class Scenario:
             "suite": self.suite,
             "benchmarks": list(self.benchmarks),
             "frequency": freq,
-            "faults": fault_digest,
+            "faults": fault_digest(self.fault_plan()),
             "sweep": {k: list(v) for k, v in sorted((self.sweep or {}).items())},
         }
 
     @property
     def digest(self) -> str:
-        """SHA-256 over the canonical record (full hex)."""
-        payload = json.dumps(
-            self.canonical_record(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
+        """:func:`~repro.store.content_key` of the canonical record."""
+        return content_key(self.canonical_record())
 
     @property
     def short_digest(self) -> str:

@@ -670,6 +670,7 @@ class ServeApp:
                 "path": self.store.path,
             },
             "corpus": {"samples": len(self.corpus),
+                       "rejected_lines": self.corpus.rejected_lines,
                        "path": self.corpus.path},
             "jobs": len(self.jobs),
             "latency": latency,

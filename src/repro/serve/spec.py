@@ -1,44 +1,40 @@
 """Canonical request specs and their content-address keys.
 
 A serving request names a point of the simulation space.  Its identity
-— the cache key, the single-flight key, the store key — is the SHA-256
-digest of a *canonical record*: a deterministically ordered JSON
-document of every field that can change the simulated result, following
-the :mod:`repro.validate.golden` fingerprint idiom (sorted keys, exact
-encodings, schema stamp).  Two requests collide iff a direct
-:func:`repro.harness.runner.run` would produce bit-identical results
-for both.
+— the cache key, the single-flight key, the store key — is the run
+identity of the request: :func:`~repro.harness.checkpoint.spec_key` of
+:meth:`ServeSpec.run_spec`, the SHA-256 of the resolved parameters
+(benchmark, the machine's parameter digest, ranks, suite, threads,
+seed/noise, explicit step counts, fault plan).  Two requests share a key
+exactly when they describe the same run — whatever they call the
+machine, and whichever scenario they took it from.
 
 Engine-mode flags (``fast_path``, ``matcher``, ...) are deliberately
 *not* part of the identity: the validation subsystem proves all engine
 modes bit-identical, so they select an implementation, not a result.
-Fields that do change results — benchmark, cluster, scale, suite,
-threads, seed/noise, explicit step counts, fault plans — are all keyed.
 
 A request may name a :class:`~repro.scenarios.Scenario` instead of a
 cluster — a library/zoo reference string or an inline scenario
 document (``"scenario": "zoo/cascadelake"``).  The scenario supplies
 the machine, a fixed frequency plan, a fault plan, and a default suite;
-the scenario's parameter-level :attr:`~repro.scenarios.Scenario.digest`
-joins the canonical record, so two scenarios that resolve to different
-parameters can never alias one key.  Segmented frequency plans are
-rejected here — the server prices single runs, and a multi-frequency
-trajectory is not one run (use
+it is resolved once per spec.  Its ``benchmarks`` and ``sweep`` lists do
+not change the run, so they do not change the key.  Segmented frequency
+plans are rejected here — the server prices single runs, and a
+multi-frequency trajectory is not one run (use
 :func:`repro.scenarios.run_frequency_plan` locally).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Optional
 
-#: Bump on incompatible canonical-record change (old store records then
-#: key differently and simply miss — recompute-and-rewrite, never a
-#: wrong answer).  2: scenario digest joined the record, ``suite``
-#: became resolution-ordered (request > scenario > "tiny").
-SPEC_SCHEMA = 2
+from repro.harness.checkpoint import SPEC_SCHEMA, spec_record
+from repro.store import content_key
+
+__all__ = ["SPEC_SCHEMA", "ServeSpec", "SpecError"]
 
 
 class SpecError(ValueError):
@@ -121,19 +117,21 @@ class ServeSpec:
 
     # --- scenario resolution ----------------------------------------------
 
+    @cached_property
     def scenario_obj(self):
-        """The resolved :class:`~repro.scenarios.Scenario`, or ``None``."""
+        """The resolved :class:`~repro.scenarios.Scenario`, or ``None``
+        (resolved once per spec)."""
         if self.scenario is None:
             return None
-        from repro.scenarios import Scenario, ScenarioError, load_scenario
+        import repro.scenarios as scenarios
 
         try:
             if isinstance(self.scenario, str):
-                return load_scenario(self.scenario)
-            scenario = Scenario.from_dict(self.scenario)
+                return scenarios.load_scenario(self.scenario)
+            scenario = scenarios.Scenario.from_dict(self.scenario)
             scenario.validate()
             return scenario
-        except ScenarioError as exc:
+        except scenarios.ScenarioError as exc:
             raise SpecError(f"bad scenario: {exc}") from exc
 
     @property
@@ -141,10 +139,8 @@ class ServeSpec:
         """Request suite > scenario suite > ``"tiny"``."""
         if self.suite is not None:
             return self.suite
-        if self.scenario is not None:
-            scenario = self.scenario_obj()
-            if scenario.suite is not None:
-                return scenario.suite
+        if self.scenario_obj is not None and self.scenario_obj.suite is not None:
+            return self.scenario_obj.suite
         return "tiny"
 
     # --- validation / resolution ------------------------------------------
@@ -169,7 +165,7 @@ class ServeSpec:
             bench = get_benchmark(self.benchmark)
         except (KeyError, ValueError) as exc:
             raise SpecError(f"unknown benchmark {self.benchmark!r}") from exc
-        scenario = self.scenario_obj()
+        scenario = self.scenario_obj
         if scenario is not None:
             if scenario.frequency is not None and not scenario.frequency.is_fixed:
                 raise SpecError(
@@ -201,18 +197,21 @@ class ServeSpec:
         """-> (Benchmark, ClusterSpec, nprocs), capacity-raised like
         :meth:`repro.predict.api.PredictionSpec.resolve`.  The cluster
         is the scenario's *effective* machine (frequency plan applied)
-        when the request names a scenario."""
+        when the request names a scenario.  Resolved once per spec."""
+        return self._resolved
+
+    @cached_property
+    def _resolved(self):
         from dataclasses import replace
 
         from repro.spechpc.suite import get_benchmark
 
         bench = get_benchmark(self.benchmark)
-        scenario = self.scenario_obj()
-        if scenario is not None:
+        if self.scenario_obj is not None:
             from repro.scenarios import ScenarioError
 
             try:
-                cluster = scenario.effective_cluster()
+                cluster = self.scenario_obj.effective_cluster()
             except ScenarioError as exc:
                 raise SpecError(str(exc)) from exc
         else:
@@ -228,9 +227,8 @@ class ServeSpec:
         """The request's :class:`~repro.faults.plan.FaultPlan` (its own,
         or the scenario's), or None."""
         doc = self.faults
-        if doc is None and self.scenario is not None:
-            scenario = self.scenario_obj()
-            doc = scenario.faults
+        if doc is None and self.scenario_obj is not None:
+            doc = self.scenario_obj.faults
         if doc is None:
             return None
         from repro.faults.plan import FaultPlan
@@ -258,39 +256,23 @@ class ServeSpec:
             faults=self.fault_plan(),
         )
 
-    def _calibrated_cluster(self) -> Optional[str]:
-        """The registry name of this request's machine, or ``None`` when
-        the request runs on something the calibrated tiers have never
-        seen (a zoo machine, a re-clocked scenario).  The cheap tiers'
-        corpora are keyed by registry cluster name, so only calibrated
-        requests may train or consult them."""
-        if self.scenario is None:
-            return self.cluster
-        from repro.machine.registry import CLUSTERS
-
-        scenario = self.scenario_obj()
-        effective = scenario.effective_cluster()
-        for name in ("A", "B"):
-            if effective == CLUSTERS[name]:
-                return name
-        return None
-
     def prediction_spec(self):
         """The equivalent :class:`~repro.predict.api.PredictionSpec`, or
         ``None`` when the request uses DES-only axes (noise, faults,
         explicit step counts) that no cheap tier can price — or runs on
-        a machine outside the calibrated registry (see
-        :meth:`_calibrated_cluster`): the surrogate corpus is keyed by
-        registry cluster name, and letting a re-clocked or zoo machine
-        consult (or train) it would silently mis-correct."""
+        a machine outside the calibrated registry (a zoo machine, a
+        re-clocked scenario; see
+        :func:`~repro.predict.corpus.registry_name`): letting it consult
+        (or train) the surrogate corpus would silently mis-correct."""
+        from repro.predict.corpus import registry_name
+
+        cluster = registry_name(self.resolve()[1])
         if (
-            self.noise_sigma != 0.0
+            cluster is None
+            or self.noise_sigma != 0.0
             or self.sim_steps is not None
             or self.fault_plan() is not None
         ):
-            return None
-        cluster = self._calibrated_cluster()
-        if cluster is None:
             return None
         from repro.predict.api import PredictionSpec
 
@@ -306,46 +288,17 @@ class ServeSpec:
     # --- identity ----------------------------------------------------------
 
     def canonical_record(self) -> dict[str, Any]:
-        """The deterministically ordered record the key hashes.
-
-        Registry names are resolved (``"A"`` and ``"ClusterA"`` are the
-        same cluster, so they must be the same key), the rank count is
-        materialized, floats are hex-encoded (exact, platform-free), a
-        fault plan contributes its own canonical JSON digest, and a
-        scenario contributes its parameter-level digest (so a zoo
-        reference and an equal inline scenario document share a key,
-        while any parameter difference splits it).
-        """
-        bench, cluster, nprocs = self.resolve()
-        plan = self.fault_plan()
-        fault_digest = None
-        if plan is not None and not plan.empty:
-            fault_digest = hashlib.sha256(
-                plan.to_json().encode()
-            ).hexdigest()[:16]
-        scenario = self.scenario_obj()
-        return {
-            "schema": SPEC_SCHEMA,
-            "benchmark": bench.name,
-            "cluster": cluster.name,
-            "nnodes": self.nnodes,
-            "nprocs": nprocs,
-            "suite": self.resolved_suite,
-            "threads": self.threads,
-            "seed": self.seed,
-            "noise_sigma": float(self.noise_sigma).hex(),
-            "sim_steps": self.sim_steps,
-            "faults": fault_digest,
-            "scenario": None if scenario is None else scenario.digest[:16],
-        }
+        """The record the key hashes: the run identity
+        (:func:`~repro.harness.checkpoint.spec_record`) of
+        :meth:`run_spec` — registry aliases resolved, the rank count
+        materialized, the machine by its parameter digest."""
+        return spec_record(self.run_spec())
 
     @property
     def key(self) -> str:
-        """Content-address: SHA-256 over the canonical record."""
-        payload = json.dumps(
-            self.canonical_record(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()
+        """Content-address: :func:`~repro.store.content_key` of the
+        canonical record."""
+        return content_key(self.canonical_record())
 
     def to_request(self) -> dict[str, Any]:
         """The JSON body a client would POST for this spec (inverse of

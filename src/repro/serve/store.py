@@ -1,28 +1,25 @@
 """The content-addressed result store behind ``repro serve``.
 
-An append-only JSONL file, one record per completed DES answer, keyed
-by the canonical spec digest (:mod:`repro.serve.spec`).  The machinery
-follows the schema-2 checkpoint idioms (:mod:`repro.harness.checkpoint`)
-— schema stamps, corrupt-tail tolerance, last-record-wins, fsynced
-appends, atomic compaction with a durable directory entry — plus one
-property checkpoints do not need: **integrity verification**.  Every
-record carries the result's golden fingerprint digest, and a record
-whose stored result no longer reproduces that digest (bit rot, a torn
-concurrent write, a tampered file) is discarded on load.  Corruption of
-any kind therefore degrades to a cache *miss* — recompute and rewrite —
-never to a wrong cached answer.
+A :class:`~repro.store.JsonlLog` of ``entry`` records, one per completed
+DES answer, keyed by the run identity
+(:attr:`~repro.serve.spec.ServeSpec.key`).  The log supplies schema stamps, torn-line tolerance, fsynced
+appends and atomic compaction; the store adds last-record-wins, a lock,
+and one property checkpoints do not need: **integrity verification**.
+Every record carries the result's golden fingerprint digest, and a
+record whose stored result no longer reproduces that digest (bit rot, a
+torn concurrent write, a tampered file) is discarded on load.
+Corruption of any kind therefore degrades to a cache *miss* — recompute
+and rewrite — never to a wrong cached answer.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.harness.checkpoint import fsync_dir
 from repro.harness.results import RunResult
+from repro.store import JsonlLog
 
 #: Schema stamp for store records; records from other schemas are
 #: ignored on load (a stale-schema store degrades to recompute).
@@ -41,8 +38,6 @@ class StoreEntry:
 
     def to_record(self) -> dict[str, Any]:
         return {
-            "schema": STORE_SCHEMA,
-            "kind": "entry",
             "key": self.key,
             "spec": self.spec,
             "fingerprint": self.fingerprint,
@@ -51,38 +46,21 @@ class StoreEntry:
         }
 
 
-def _verify(entry: StoreEntry) -> bool:
-    """True iff the stored result still hashes to its recorded digest."""
+def _parse(doc: dict[str, Any]) -> Optional[StoreEntry]:
+    """An ``entry`` record whose result still reproduces its recorded
+    fingerprint, else None."""
     from repro.validate.golden import fingerprint
 
-    try:
-        return fingerprint(entry.result).digest == entry.fingerprint
-    except Exception:
-        return False
-
-
-def _parse_line(line: str) -> Optional[StoreEntry]:
-    """One JSONL line -> verified entry, or ``None`` for blank, corrupt,
-    truncated, unknown-schema, or integrity-failing lines."""
-    line = line.strip()
-    if not line:
+    if doc["kind"] != "entry":
         return None
-    try:
-        doc = json.loads(line)
-        if doc.get("schema") != STORE_SCHEMA or doc.get("kind") != "entry":
-            return None
-        entry = StoreEntry(
-            key=doc["key"],
-            spec=doc["spec"],
-            result=RunResult.from_checkpoint_dict(doc["result"]),
-            fingerprint=doc["fingerprint"],
-            source=doc.get("source", "des"),
-        )
-    except (ValueError, KeyError, TypeError):
-        return None
-    if not _verify(entry):
-        return None
-    return entry
+    entry = StoreEntry(
+        key=doc["key"],
+        spec=doc["spec"],
+        result=RunResult.from_checkpoint_dict(doc["result"]),
+        fingerprint=doc["fingerprint"],
+        source=doc.get("source", "des"),
+    )
+    return entry if fingerprint(entry.result).digest == entry.fingerprint else None
 
 
 class ResultStore:
@@ -97,20 +75,13 @@ class ResultStore:
 
     def __init__(self, path: str | None = None) -> None:
         self.path = path
-        self._entries: dict[str, StoreEntry] = {}
+        self._log = None if path is None else JsonlLog(path, STORE_SCHEMA)
+        entries = [] if self._log is None else self._log.scan(_parse)
+        self._entries = {e.key: e for e in entries}
         self._lock = threading.Lock()
         #: lines present in the file but rejected on load (corrupt,
         #: stale schema, integrity failure) — observability for /metrics
-        self.rejected_lines = 0
-        if path is not None and os.path.exists(path):
-            with open(path, errors="replace") as fh:
-                for raw in fh:
-                    entry = _parse_line(raw)
-                    if entry is None:
-                        if raw.strip():
-                            self.rejected_lines += 1
-                        continue
-                    self._entries[entry.key] = entry
+        self.rejected_lines = 0 if self._log is None else self._log.rejected
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -128,40 +99,18 @@ class ResultStore:
 
     def put(self, entry: StoreEntry) -> None:
         """Insert (or replace) one answer; durably appended when backed
-        by a file (fsynced data — the rename durability lives in
-        :meth:`compact`)."""
+        by a file."""
         with self._lock:
             self._entries[entry.key] = entry
-            if self.path is None:
-                return
-            line = json.dumps(entry.to_record(), sort_keys=True)
-            fresh = not os.path.exists(self.path)
-            with open(self.path, "a") as fh:
-                fh.write(line + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            if fresh:
-                # first append created the file: make its directory
-                # entry durable too
-                fsync_dir(self.path)
+            if self._log is not None:
+                self._log.append("entry", entry.to_record())
 
     def compact(self) -> int:
         """Atomically rewrite the file with one verified line per key.
-
-        fsyncs the temp file *and* the directory entry after
-        ``os.replace`` — without the latter a crash can resurrect the
-        pre-compact file even though the replace "succeeded".  Returns
-        the number of entries kept; memory-only stores no-op.
-        """
+        Returns the number of entries kept; memory-only stores no-op."""
         with self._lock:
-            if self.path is None:
-                return len(self._entries)
-            tmp = self.path + ".compact.tmp"
-            with open(tmp, "w") as fh:
-                for entry in self._entries.values():
-                    fh.write(json.dumps(entry.to_record(), sort_keys=True) + "\n")
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
-            fsync_dir(self.path)
+            if self._log is not None:
+                self._log.rewrite(
+                    ("entry", e.to_record()) for e in self._entries.values()
+                )
             return len(self._entries)

@@ -1,5 +1,5 @@
 """Executor protocol: capability flags, backend parity, seeded backoff,
-serial timeout isolation, and checkpoint schema-2 behavior.
+serial timeout isolation, and checkpoint schema-3 behavior.
 
 Fabric-specific behavior (wire protocol, leases, chaos) lives in
 ``tests/test_fabric.py``; this file covers the protocol layer shared by
@@ -153,30 +153,79 @@ def test_serial_executor_enforces_timeout():
     assert out[1].benchmark == "quick"
 
 
-# --- checkpoint schema 2 ----------------------------------------------------
+# --- checkpoint schema 3 ----------------------------------------------------
 
 
-def test_checkpoint_writes_schema_2(tmp_path):
+def test_checkpoint_writes_schema_3(tmp_path):
     path = str(tmp_path / "ck.jsonl")
     run_many(_specs(1), checkpoint=path)
     doc = json.loads(open(path).readline())
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     assert doc["kind"] == "result"
 
 
-def test_checkpoint_schema_1_still_loads(tmp_path):
+@pytest.mark.parametrize("old", [
+    {"version": 1},
+    {"schema": 2, "kind": "result"},
+], ids=["schema1", "schema2"])
+def test_checkpoint_old_schemas_are_recomputed(tmp_path, old):
+    """Schema-1/2 records were keyed by cluster name: never reused."""
     path = str(tmp_path / "ck.jsonl")
     specs = _specs(1)
     (result,) = run_many(specs)
     key = spec_key(specs[0])
-    v1 = {"version": 1, "key": key, "result": result.to_checkpoint_dict()}
+    poisoned = result.to_checkpoint_dict() | {"elapsed": 123.0}
     with open(path, "w") as fh:
-        fh.write(json.dumps(v1) + "\n")
-    saved = load_checkpoint(path)
-    assert fingerprint(saved[key]) == fingerprint(result)
-    # and a resume run re-simulates nothing
+        fh.write(json.dumps({**old, "key": key, "result": poisoned}) + "\n")
+    assert load_checkpoint(path) == {}
     out = run_many(specs, checkpoint=path)
     assert fingerprint(out[0]) == fingerprint(result)
+    assert [json.loads(l)["schema"] for l in open(path)] == [3]
+
+
+def test_reclocked_checkpoint_does_not_answer_nominal_sweep(tmp_path):
+    """A 1.6 GHz soma point keeps the cluster's name, not its key."""
+    from repro.harness import run, scaling_sweep
+    from repro.model.dvfs import apply_frequency
+
+    soma = get_benchmark("soma")
+    path = str(tmp_path / "ck.jsonl")
+    slow = apply_frequency(CLUSTER_A, 1.6e9)
+    assert slow.name == CLUSTER_A.name
+    clocked = scaling_sweep(soma, slow, [72], checkpoint=path)
+    nominal = scaling_sweep(soma, CLUSTER_A, [72], checkpoint=path)
+    fresh = run(soma, CLUSTER_A, 72)
+    assert fingerprint(nominal.points[0].runs[0]) == fingerprint(fresh)
+    assert nominal.points[0].runs[0].elapsed != clocked.points[0].runs[0].elapsed
+    assert len(load_checkpoint(path)) == 2
+
+
+def test_renamed_zoo_machine_misses_registry_checkpoint(tmp_path):
+    """A different machine called "ClusterA" must not hit ClusterA's
+    checkpoint record."""
+    from dataclasses import replace
+
+    from repro.machine.registry import get_cluster
+
+    path = str(tmp_path / "ck.jsonl")
+    specs = _specs(1)
+    (result,) = run_many(specs, checkpoint=path)
+    impostor = replace(get_cluster("zoo/cascadelake"), name=CLUSTER_A.name)
+    moved = replace(specs[0], cluster=impostor)
+    assert spec_key(moved) != spec_key(specs[0])
+    (out,) = run_many([moved], checkpoint=path)
+    assert fingerprint(out) != fingerprint(result)
+    assert fingerprint(out) == fingerprint(run_many([moved])[0])
+
+
+def test_spec_key_ignores_names_and_engine_flags():
+    from dataclasses import replace
+
+    (spec,) = _specs(1)
+    renamed = replace(CLUSTER_A, name="SomethingElse")
+    assert spec_key(replace(spec, cluster=renamed)) == spec_key(spec)
+    assert spec_key(replace(spec, fast_path=False, memoize=False)) == spec_key(spec)
+    assert spec_key(replace(spec, seed=spec.seed + 1)) != spec_key(spec)
 
 
 def test_compact_folds_duplicates_and_drops_events(tmp_path):
@@ -192,7 +241,7 @@ def test_compact_folds_duplicates_and_drops_events(tmp_path):
     append_event(path, "complete", keys[1], worker="w0")
     assert len(load_journal(path)) == 2
     kept = compact(path)
-    assert kept == 2
+    assert list(kept) == keys
     lines = [json.loads(l) for l in open(path)]
     assert len(lines) == 2  # one line per key, no events
     assert all(d["kind"] == "result" for d in lines)
@@ -207,12 +256,14 @@ def test_compact_tolerates_corrupt_tail(tmp_path):
     run_many(specs, checkpoint=path)
     with open(path, "a") as fh:
         fh.write('{"schema": 2, "kind": "result", "key": "tr')  # torn write
-    assert compact(path) == 1
+    assert list(compact(path)) == [spec_key(specs[0])]
     assert spec_key(specs[0]) in load_checkpoint(path)
 
 
 def test_compact_missing_file_is_noop(tmp_path):
-    assert compact(str(tmp_path / "never-written.jsonl")) == 0
+    path = tmp_path / "never-written.jsonl"
+    assert compact(str(path)) == {}
+    assert not path.exists()
 
 
 def test_resume_compacts_the_file(tmp_path):

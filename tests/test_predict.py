@@ -136,6 +136,48 @@ def test_corpus_roundtrip_last_wins_and_corrupt_tail(tmp_path):
     assert len(PredictionCorpus(path)) == 2
 
 
+def test_corpus_drops_samples_whose_key_no_longer_matches(tmp_path, monkeypatch):
+    import json
+    from dataclasses import replace
+
+    from repro.machine import registry
+
+    path = str(tmp_path / "corpus.jsonl")
+    c = PredictionCorpus(path)
+    c.add(_sample(1))
+    c.add(_sample(4))
+    # an edited line: the stored key no longer describes the sample
+    docs = [json.loads(line) for line in open(path)]
+    docs[0]["sample"]["nnodes"] = 2
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(d) + "\n" for d in docs)
+    reloaded = PredictionCorpus(path)
+    assert [s.nnodes for s in reloaded] == [4]
+    assert reloaded.rejected_lines == 1
+    # the registry machine changed since the samples were simulated
+    a = registry.CLUSTER_A
+    moved = replace(a, network=replace(a.network, latency=2 * a.network.latency))
+    monkeypatch.setitem(registry.CLUSTERS, "ClusterA", moved)
+    assert len(PredictionCorpus(path)) == 0
+
+
+def test_des_tier_trains_only_registry_machines(tmp_path):
+    from repro.model.dvfs import apply_frequency
+    from repro.machine.registry import CLUSTER_A, get_cluster
+
+    corpus = PredictionCorpus()
+    clocked = apply_frequency(CLUSTER_A, 1.6e9)
+    zoo = get_cluster("zoo/cascadelake")
+    for cluster in (clocked, zoo):
+        spec = PredictionSpec("lbm", cluster.name, 1, nprocs=2,
+                              cluster_obj=cluster)
+        predict(spec, tier="des", corpus=corpus, sim_steps=1)
+    assert len(corpus) == 0
+    predict(PredictionSpec("lbm", "A", 1, nprocs=2), tier="des",
+            corpus=corpus, sim_steps=1)
+    assert [s.cluster for s in corpus] == ["ClusterA"]
+
+
 def test_corpus_from_golden_covers_the_grid():
     corpus = corpus_from_golden(GOLDEN_DIR)
     assert len(corpus) == 36                      # 9 benchmarks x 2 x (1, 4)

@@ -251,14 +251,67 @@ def test_serve_spec_accepts_scenario_ref():
     assert spec.prediction_spec() is None
 
 
-def test_serve_spec_scenario_digest_in_canonical_record():
+def test_serve_key_is_the_run_identity():
+    """A zoo reference, an equal inline document and the registry name
+    describe the same run, so they share one key; the scenario's
+    benchmark and sweep lists do not change the run."""
     from repro.serve.spec import ServeSpec
 
-    spec = ServeSpec.from_request(
-        {"benchmark": "lbm", "scenario": "zoo/icelake"}
-    )
-    rec = spec.canonical_record()
-    assert rec["scenario"] == load_scenario("zoo/icelake").digest[:16]
+    def key(**where):
+        return ServeSpec.from_request({"benchmark": "lbm", **where}).key
+
+    inline = {"name": "inline", "cluster_spec": cluster_to_dict(CLUSTER_A)}
+    listed = {"name": "listed", "cluster": "zoo/icelake",
+              "benchmarks": ["lbm", "soma"], "sweep": {"nodes": [1, 2]}}
+    assert key(scenario="zoo/icelake") == key(scenario=inline)
+    assert key(scenario="zoo/icelake") == key(cluster="A")
+    assert key(scenario=listed) == key(cluster="ClusterA")
+
+
+def test_serve_key_splits_on_frequency():
+    from repro.serve.spec import ServeSpec
+
+    def key(frequency):
+        doc = {"name": "clocked", "cluster": "A", "frequency": frequency}
+        return ServeSpec.from_request({"benchmark": "lbm", "scenario": doc}).key
+
+    base = ServeSpec.from_request({"benchmark": "lbm", "cluster": "A"}).key
+    nominal = CLUSTER_A.node.cpu.nominal_clock_hz / 1e9
+    assert key(nominal) == base
+    assert key(1.6) != base
+    assert key(1.6) != key(2.0)
+
+
+def test_serve_spec_resolves_its_scenario_once(monkeypatch):
+    import repro.scenarios
+    from repro.serve.spec import ServeSpec
+
+    calls = []
+    real = repro.scenarios.load_scenario
+    monkeypatch.setattr(repro.scenarios, "load_scenario",
+                        lambda ref: calls.append(ref) or real(ref))
+    spec = ServeSpec.from_request({"benchmark": "lbm", "scenario": "zoo/icelake"})
+    spec.key
+    spec.key
+    spec.prediction_spec()
+    assert calls == ["zoo/icelake"]
+
+
+@pytest.mark.parametrize("ref, digest", [
+    ("zoo/broadwell", "fe579945750cea28f3ab24b2489c5017b812efff9e82b61981f10541ecbe1d1c"),
+    ("zoo/cascadelake", "4f04a42f281b4f38758f9d7ccf029cba8c41b5d16ed293fb37f613841152611d"),
+    ("zoo/icelake", "caa06af8ed913f700bc675e2c58f87eece00b37ab33c8e05944654f6414cceca"),
+    ("zoo/nextgen", "560929a7e1b72a7ad746d6cfd8ddcab4cea3f64d2a9ba0c16d366c5ee46c0070"),
+    ("zoo/raspberrypi", "45b97123ed7d19154a794315c3158f67d3589e600160087aa518ccaa32c5fd7c"),
+    ("zoo/sapphirerapids", "3fcd4d05985404bee49e1ac2bdba7f3b1ba7d1f688626afe173fdd9d21dca480"),
+    ("degraded_fabric_day", "1884b8e8b5e0daf7b020976beddd59ad2a568f986dbe0612b8bb210d99cd0bb1"),
+    ("dvfs_lbm_clockdown", "829575bf7031d78dcf525916c004d91afbed17eff3fcb8a9ca3fcdbd1ea84f0c"),
+    ("turbo_then_throttle", "834517257bfd55a61df87a108b7c3049c794a23aa842336b6d682738ddfd1e17"),
+])
+def test_scenario_digests_are_pinned(ref, digest):
+    """Shared scenario files are named by these digests: they must not
+    drift when the identity code moves."""
+    assert load_scenario(ref).digest == digest
 
 
 def test_serve_spec_rejects_cluster_plus_scenario():

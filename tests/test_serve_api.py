@@ -261,6 +261,7 @@ def test_metrics_shape(served):
     assert doc["store"]["entries"] == len(app.store)
     assert doc["store"]["rejected_lines"] == 0
     assert doc["corpus"]["samples"] >= 36  # golden seed + absorbed runs
+    assert doc["corpus"]["rejected_lines"] == 0
     for level, window in doc["latency"].items():
         assert window["count"] >= 1
         assert 0.0 <= window["p50_ms"] <= window["p99_ms"]

@@ -8,16 +8,13 @@ result — every entry the store *does* return must still reproduce its
 recorded golden fingerprint, and everything else must simply miss (the
 server then recomputes and rewrites).
 
-Also here: the regression tests for the fsync-after-rename durability
-fix (``fsync_dir``) shared by the result store, the harness checkpoint
-and the prediction corpus — a crash right after ``os.replace`` must not
-resurrect the pre-compact file, which requires fsyncing the *directory*
-entry, not just the file data.
+The durability properties the store shares with the checkpoint and the
+corpus (torn tails, compaction, directory fsyncs) are tested on all
+three views in ``tests/test_log_chaos.py``.
 """
 
 import json
 import os
-import stat
 import threading
 
 import pytest
@@ -283,81 +280,8 @@ def test_any_tail_garbage_never_yields_a_wrong_answer(
             assert got.result == e.result
 
 
-# ----------------------------------------------------------------------
-# fsync-after-rename durability (the shared fix)
-# ----------------------------------------------------------------------
-
-
-class FsyncSpy:
-    """Records fsync/replace ordering; tells directory fds from files."""
-
-    def __init__(self, monkeypatch):
-        self.events = []
-        real_fsync, real_replace = os.fsync, os.replace
-
-        def spy_fsync(fd):
-            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
-            self.events.append(("fsync", kind))
-            return real_fsync(fd)
-
-        def spy_replace(src, dst):
-            self.events.append(("replace", None))
-            return real_replace(src, dst)
-
-        monkeypatch.setattr(os, "fsync", spy_fsync)
-        monkeypatch.setattr(os, "replace", spy_replace)
-
-    def dir_fsync_after_replace(self) -> bool:
-        try:
-            idx = self.events.index(("replace", None))
-        except ValueError:
-            return False
-        return ("fsync", "dir") in self.events[idx + 1:]
-
-
-@pytest.mark.skipif(not hasattr(os, "O_DIRECTORY"),
-                    reason="directory fsync is POSIX-only")
-def test_store_compact_fsyncs_directory_after_replace(tmp_path, monkeypatch):
-    path = str(tmp_path / "store.jsonl")
-    store = ResultStore(path)
-    store.put(synth_entry(1))
-    spy = FsyncSpy(monkeypatch)
-    store.compact()
-    assert spy.dir_fsync_after_replace(), spy.events
-
-
-@pytest.mark.skipif(not hasattr(os, "O_DIRECTORY"),
-                    reason="directory fsync is POSIX-only")
-def test_checkpoint_compact_fsyncs_directory_after_replace(
-    tmp_path, monkeypatch
-):
-    from repro.harness.checkpoint import append_checkpoint, compact
-
-    path = str(tmp_path / "ckpt.jsonl")
-    append_checkpoint(path, "k1", synth_result(1))
-    append_checkpoint(path, "k1", synth_result(2))
-    spy = FsyncSpy(monkeypatch)
-    assert compact(path) == 1
-    assert spy.dir_fsync_after_replace(), spy.events
-
-
-@pytest.mark.skipif(not hasattr(os, "O_DIRECTORY"),
-                    reason="directory fsync is POSIX-only")
-def test_corpus_compact_fsyncs_directory_after_replace(tmp_path, monkeypatch):
-    from repro.predict.corpus import CorpusSample, PredictionCorpus
-
-    path = str(tmp_path / "corpus.jsonl")
-    corpus = PredictionCorpus(path)
-    corpus.add(CorpusSample(benchmark="lbm", cluster="ClusterA", suite="tiny",
-                            nnodes=1, nprocs=72, threads=1,
-                            elapsed=10.0, total_energy=1000.0))
-    spy = FsyncSpy(monkeypatch)
-    corpus.compact()
-    assert spy.dir_fsync_after_replace(), spy.events
-
-
 def test_fsync_dir_handles_relative_paths(tmp_path, monkeypatch):
-    from repro.harness.checkpoint import fsync_dir
+    from repro.store import fsync_dir
 
     monkeypatch.chdir(tmp_path)
     (tmp_path / "file.jsonl").write_text("{}\n")
