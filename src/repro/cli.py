@@ -24,11 +24,10 @@ Commands
               cluster zoo (see ``docs/scenarios.md``); ``sweep``,
               ``trace``, and ``predict`` accept any of them via
               ``--scenario``
-``validate``  golden fingerprints + schedule-perturbation sanitizer +
-              cross-mode differential conformance + prediction-tier
-              differential + scenario/zoo differential
-              (``--scenarios``; ``--regen`` rewrites the golden
-              corpus and refuses on a dirty git tree)
+``validate``  run validation lanes by name (``--lane``, repeatable;
+              see :data:`repro.validate.lanes.LANES`); ``--regen``
+              rewrites the golden corpus and refuses on a dirty git
+              tree
 """
 
 from __future__ import annotations
@@ -42,6 +41,8 @@ from repro.harness import ascii_table, run, scaling_sweep
 from repro.machine import get_cluster
 from repro.spechpc import SUITE_ORDER, all_benchmarks, get_benchmark
 from repro.units import GB, fmt_energy, fmt_power, fmt_time
+from repro.validate.golden import DEFAULT_GOLDEN_DIR, DirtyTreeError, regenerate
+from repro.validate.lanes import LANES, LaneContext
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -362,16 +363,6 @@ def _cmd_report(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _default_golden_dir() -> str:
-    import os
-
-    return os.path.join(
-        os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
-        "tests",
-        "golden",
-    )
-
-
 def _cmd_predict(args: argparse.Namespace) -> int:
     import time
 
@@ -383,7 +374,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     )
     from repro.predict.corpus import registry_name
 
-    golden_dir = args.golden_dir or _default_golden_dir()
+    golden_dir = args.golden_dir or DEFAULT_GOLDEN_DIR
     scenario = None
     if args.scenario:
         from repro.scenarios import ScenarioError, load_scenario
@@ -510,7 +501,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     golden_dir = args.golden_dir
     if golden_dir is None and not args.no_golden_seed:
-        golden_dir = _default_golden_dir()
+        golden_dir = DEFAULT_GOLDEN_DIR
     app = ServeApp(
         host=args.host,
         port=args.port,
@@ -687,19 +678,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    import os
-
-    from repro.validate.golden import (
-        DirtyTreeError,
-        check_case,
-        golden_cases,
-        regenerate,
-    )
-
-    golden_dir = args.golden_dir
-    if golden_dir is None:
-        golden_dir = _default_golden_dir()
-
+    golden_dir = args.golden_dir or DEFAULT_GOLDEN_DIR
     if args.regen:
         try:
             paths = regenerate(
@@ -711,116 +690,26 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"regenerated {len(paths)} golden fingerprint(s) in {golden_dir}")
         return 0
 
-    benchmarks = (
-        list(SUITE_ORDER)
-        if args.benchmarks is None
-        else [get_benchmark(b).name for b in args.benchmarks.split(",")]
+    ctx = LaneContext(
+        benchmarks=tuple(
+            SUITE_ORDER if args.benchmarks is None
+            else (get_benchmark(b).name for b in args.benchmarks.split(","))
+        ),
+        clusters=("A", "B") if args.cluster == "both" else (args.cluster,),
+        suite=args.suite,
+        nprocs=args.nprocs,
+        shuffles=args.shuffles,
+        scales=tuple(args.scales),
+        golden_dir=golden_dir,
     )
-    clusters = ["A", "B"] if args.cluster == "both" else [args.cluster]
-    failures: list[str] = []
-    rows = []
-
-    if not args.skip_differential:
-        # the scheduler axis lives below MPI (BandwidthResource), so it
-        # is checked once per invocation, not per benchmark
-        from repro.validate.differential import bandwidth_scheduler_differential
-
-        for mm in bandwidth_scheduler_differential():
-            failures.append(f"scheduler {mm.kind}: {mm.detail}")
-
-    if not args.skip_prediction:
-        # one pass over the whole golden corpus (the tiers answer every
-        # benchmark from a single profile, so this is not per-benchmark)
-        from repro.validate.prediction import prediction_differential
-
-        failures.extend(prediction_differential(
-            golden_dir,
-            benchmarks=tuple(benchmarks),
-            clusters=tuple(clusters),
-        ))
-
-    if args.serving:
-        # loopback server vs direct run(): cache, predict, and cold
-        # paths must all honor the fingerprint/band contracts
-        from repro.validate.serving import serving_differential
-
-        failures.extend(serving_differential(
-            golden_dir,
-            benchmarks=tuple(benchmarks),
-            clusters=tuple(clusters),
-        ))
-
-    if args.scenarios:
-        # named scenario runs must be fingerprint-identical to their
-        # inline-flag equivalents, and every zoo file must load,
-        # round-trip, and price
-        from repro.validate.scenario import (
-            scenario_differential,
-            zoo_validation,
-        )
-
-        lane = zoo_validation() + scenario_differential()
-        failures.extend(lane)
-        print(
-            "scenario lane (zoo + named-vs-inline differential): "
-            + ("ok" if not lane else f"{len(lane)} failure(s)")
-        )
-
-    for bname in benchmarks:
-        for cname in clusters:
-            cluster = get_cluster(cname)
-            nprocs = args.nprocs or cluster.node.cores
-
-            golden_status = "skipped"
-            if not args.skip_golden:
-                golden_status = "ok"
-                for case in golden_cases(scales=(1,)):
-                    if case.benchmark != bname or case.cluster != cname:
-                        continue
-                    try:
-                        mismatch = check_case(golden_dir, case)
-                    except FileNotFoundError:
-                        golden_status = "missing"
-                        failures.append(
-                            f"golden {case.slug}: no checked-in fingerprint "
-                            f"(run `repro validate --regen`)"
-                        )
-                        continue
-                    if mismatch:
-                        golden_status = "FAIL"
-                        failures.append(f"golden {mismatch}")
-
-            perturb_status = "skipped"
-            if not args.skip_perturb:
-                from repro.validate.perturb import sanitize
-
-                rep = sanitize(
-                    bname, cname, nprocs, suite=args.suite,
-                    shuffles=args.shuffles,
-                )
-                perturb_status = "ok" if rep.ok else "FAIL"
-                if not rep.ok:
-                    failures.append(f"perturb {rep.summary()}")
-
-            diff_status = "skipped"
-            if not args.skip_differential:
-                from repro.validate.differential import differential_run
-
-                dr = differential_run(bname, cname, nprocs, suite=args.suite)
-                diff_status = "ok" if dr.ok else "FAIL"
-                if not dr.ok:
-                    failures.append(f"differential {dr.summary()}")
-
-            rows.append(
-                (bname, cname, nprocs, golden_status, perturb_status,
-                 diff_status)
-            )
-
-    print(ascii_table(
-        ["benchmark", "cluster", "ranks", "golden", "perturb", "differential"],
-        rows,
-        title=f"validation ({args.shuffles} shuffles, full flag matrix)",
-    ))
+    selected = args.lanes or [n for n, lane in LANES.items() if lane.default]
+    rows, failures = [], []
+    for name, lane in LANES.items():
+        if name in selected:
+            found = lane.check(ctx)
+            rows.append((name, "FAIL" if found else "ok", len(found)))
+            failures += [f"{name}: {f}" for f in found]
+    print(ascii_table(["lane", "status", "failures"], rows, title="validation"))
     if failures:
         print(f"\n{len(failures)} failure(s):")
         for f in failures:
@@ -1091,24 +980,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="ranks per job (default: one full node)")
     pv.add_argument("--shuffles", type=_positive_int, default=20,
                     help="perturbation seeds per job (default: 20)")
-    pv.add_argument("--skip-golden", action="store_true")
-    pv.add_argument("--skip-perturb", action="store_true")
-    pv.add_argument("--skip-differential", action="store_true")
-    pv.add_argument("--skip-prediction", action="store_true",
-                    help="skip the prediction-tier differential "
-                         "(analytic/surrogate vs DES ground truth)")
-    pv.add_argument("--scenarios", action="store_true",
-                    help="also run the scenario differential (named "
-                         "scenario runs vs equivalent inline flags, "
-                         "fingerprint-identical) and the zoo validation "
-                         "(every parameter file loads, round-trips, and "
-                         "prices through Tier A)")
-    pv.add_argument("--serving", action="store_true",
-                    help="also run the serving differential: every "
-                         "selected golden spec through a loopback "
-                         "server must be fingerprint-identical to a "
-                         "direct run on the cold, cached, and "
-                         "band-negotiated paths")
+    pv.add_argument("--lane", action="append", dest="lanes",
+                    choices=list(LANES),
+                    help="run this lane; repeatable (default: "
+                         + " ".join(n for n, lane in LANES.items()
+                                    if lane.default) + ")")
     pv.add_argument("--golden-dir", default=None,
                     help="golden corpus directory (default: tests/golden)")
     pv.add_argument("--regen", action="store_true",
@@ -1118,8 +994,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="with --regen: override the dirty-tree refusal")
     pv.add_argument("--scales", type=_positive_int, nargs="+", default=[1, 4],
                     metavar="NODES",
-                    help="with --regen: node counts to regenerate "
-                         "(default: 1 4)")
+                    help="golden-corpus node counts read by the golden, "
+                         "prediction and serving lanes and rewritten by "
+                         "--regen (default: 1 4)")
     pv.set_defaults(fn=_cmd_validate)
     return p
 

@@ -18,11 +18,12 @@ des         the event-level simulator    seconds - minutes   0 (ground
 answer):
 
 1. price analytically — always;
-2. if the corpus covers the query (group trained, node count inside the
-   hull), take the surrogate **unless** it disagrees with the analytic
-   tier beyond their combined stated bands — disagreement means the
-   residual surface is extrapolating something the corpus cannot
-   support;
+2. if the query's machine is a registry machine at its calibrated
+   parameters and the corpus covers the query (group trained, node
+   count inside the hull), take the surrogate **unless** it disagrees
+   with the analytic tier beyond their combined stated bands —
+   disagreement means the residual surface is extrapolating something
+   the corpus cannot support;
 3. otherwise fall back to the DES (when ``allow_des``) and feed the
    fresh ground truth back into the corpus, so the next query
    interpolates instead.
@@ -80,6 +81,15 @@ class PredictionSpec:
             raise ValueError("nnodes must be >= 1")
         if self.nprocs is not None and self.nprocs < 1:
             raise ValueError("nprocs must be >= 1")
+
+    @classmethod
+    def for_sample(cls, sample: CorpusSample, **overrides) -> "PredictionSpec":
+        """The query at one corpus sample's point."""
+        return cls(
+            benchmark=sample.benchmark, cluster=sample.cluster,
+            nnodes=sample.nnodes, suite=sample.suite, threads=sample.threads,
+            nprocs=sample.nprocs, **overrides,
+        )
 
     def resolve(self):
         """-> (Benchmark, ClusterSpec) with capacity raised to fit the
@@ -185,14 +195,7 @@ class SurrogatePredictionTier:
         self.model = ResidualSurrogate(corpus, self._analytic_point)
 
     def _analytic_point(self, sample: CorpusSample) -> tuple[float, float]:
-        est = self.analytic.estimate(PredictionSpec(
-            benchmark=sample.benchmark,
-            cluster=sample.cluster,
-            nnodes=sample.nnodes,
-            suite=sample.suite,
-            threads=sample.threads,
-            nprocs=sample.nprocs,
-        ))
+        est = self.analytic.estimate(PredictionSpec.for_sample(sample))
         return est.elapsed, est.chip_energy + est.dram_energy
 
     def predict(self, spec: PredictionSpec) -> Prediction | None:
@@ -309,8 +312,11 @@ def predict(
     if tier == "analytic":
         return a_pred
 
+    # the corpus describes the calibrated registry machines only: a
+    # re-clocked or zoo machine must never be corrected by their samples
     s_pred = None
-    if corpus is not None and len(corpus):
+    if (corpus is not None and len(corpus)
+            and registry_name(spec.resolve()[1]) is not None):
         s_pred = SurrogatePredictionTier(corpus, analytic).predict(spec)
 
     if tier == "surrogate":

@@ -31,6 +31,9 @@ alter simulated results it should not have?*
   (non-overtaking, conservation, collective completeness, monotonic
   clocks) attachable to any run via ``run(..., invariants=True)``.
 
+:mod:`repro.validate.lanes` registers the checks ``repro validate``
+runs as named lanes (``--lane NAME``).
+
 Only the invariants are imported eagerly: the other modules pull in the
 harness package, which itself lazily imports the checker, and keeping
 this ``__init__`` light preserves that cycle-free layering.
@@ -39,24 +42,6 @@ this ``__init__`` light preserves that cycle-free layering.
 from __future__ import annotations
 
 from repro.validate.invariants import InvariantChecker, InvariantViolation
-
-__all__ = [
-    "InvariantChecker",
-    "InvariantViolation",
-    # lazy (see __getattr__):
-    "fingerprint",
-    "golden_cases",
-    "record_diff",
-    "regenerate",
-    "sanitize",
-    "differential_run",
-    "observability_differential",
-    "executor_differential",
-    "prediction_differential",
-    "serving_differential",
-    "scenario_differential",
-    "zoo_validation",
-]
 
 _LAZY = {
     "fingerprint": "repro.validate.golden",
@@ -72,6 +57,8 @@ _LAZY = {
     "scenario_differential": "repro.validate.scenario",
     "zoo_validation": "repro.validate.scenario",
 }
+
+__all__ = ["InvariantChecker", "InvariantViolation", *_LAZY]
 
 
 def __getattr__(name: str):

@@ -26,6 +26,7 @@ import json
 import os
 import subprocess
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Iterator, Optional
 
 from repro.harness.results import RunResult
@@ -40,6 +41,9 @@ CLUSTER_NAMES = ("A", "B")
 
 #: Node counts covered by the checked-in corpus.
 DEFAULT_SCALES = (1, 4)
+
+#: The checked-in corpus: ``tests/golden`` at the repository root.
+DEFAULT_GOLDEN_DIR = str(Path(__file__).resolve().parents[3] / "tests" / "golden")
 
 
 def _hex(x: float) -> str:

@@ -16,6 +16,9 @@ three directions:
    trained hull but absent from the corpus (2 nodes between the golden
    1- and 4-node points); the surrogate's interpolated answer must fall
    within its own stated (LOO-CV derived) band.
+4. **Surrogate gate** — the corpus describes the nominal registry
+   machines only, so the same points on a re-clocked machine (which
+   keeps its registry name) must never be answered by the surrogate.
 
 :func:`prediction_differential` returns a list of human-readable
 failure strings — empty means every tier honored its claim.
@@ -23,7 +26,7 @@ failure strings — empty means every tier honored its claim.
 
 from __future__ import annotations
 
-import os
+from repro.validate.golden import DEFAULT_GOLDEN_DIR, DEFAULT_SCALES
 
 #: Relative tolerance for "exact": interpolation at a trained point goes
 #: through exp(log(...)) once, so allow a few ulps of round-off.
@@ -33,14 +36,9 @@ EXACT_RTOL = 1e-9
 #: strictly inside the golden scales' hull).
 HOLDOUT_SCALES = (2,)
 
-
-def _default_golden_dir() -> str:
-    return os.path.join(
-        os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))))),
-        "tests",
-        "golden",
-    )
+#: Clock ratio of the re-clocked machine in the surrogate-gate check
+#: (1.6 GHz on ClusterA's 2.4 GHz nominal).
+RECLOCK_RATIO = 2.0 / 3.0
 
 
 def _rel(predicted: float, reference: float) -> float:
@@ -48,8 +46,8 @@ def _rel(predicted: float, reference: float) -> float:
 
 
 def prediction_differential(
-    golden_dir: str | None = None,
-    scales: tuple[int, ...] = (1, 4),
+    golden_dir: str = DEFAULT_GOLDEN_DIR,
+    scales: tuple[int, ...] = DEFAULT_SCALES,
     holdout_scales: tuple[int, ...] = HOLDOUT_SCALES,
     benchmarks: tuple[str, ...] | None = None,
     clusters: tuple[str, ...] = ("A", "B"),
@@ -62,6 +60,7 @@ def prediction_differential(
     fresh DES holdout runs (the cheap, simulation-free subset).
     """
     from repro.machine.registry import get_cluster
+    from repro.model.dvfs import apply_frequency
     from repro.predict import (
         PredictionSpec,
         SurrogatePredictionTier,
@@ -70,8 +69,6 @@ def prediction_differential(
     )
     from repro.predict.analytic import SAMPLE_LIMIT
 
-    if golden_dir is None:
-        golden_dir = _default_golden_dir()
     if sample_limit is None:
         sample_limit = SAMPLE_LIMIT
 
@@ -91,11 +88,8 @@ def prediction_differential(
     for s in corpus:
         if not selected(s):
             continue
-        spec = PredictionSpec(
-            benchmark=s.benchmark, cluster=s.cluster, nnodes=s.nnodes,
-            suite=s.suite, nprocs=s.nprocs,
-        )
-        pred = predict(spec, tier="analytic", sample_limit=sample_limit)
+        pred = predict(PredictionSpec.for_sample(s), tier="analytic",
+                       sample_limit=sample_limit)
         for label, got, want in (
             ("runtime", pred.runtime, s.elapsed),
             ("energy", pred.energy.total_energy, s.total_energy),
@@ -113,11 +107,7 @@ def prediction_differential(
     for s in corpus:
         if not selected(s):
             continue
-        spec = PredictionSpec(
-            benchmark=s.benchmark, cluster=s.cluster, nnodes=s.nnodes,
-            suite=s.suite, nprocs=s.nprocs,
-        )
-        pred = tier_b.predict(spec)
+        pred = tier_b.predict(PredictionSpec.for_sample(s))
         if pred is None:
             failures.append(
                 f"surrogate {s.benchmark}/{s.cluster}/{s.nnodes}n: "
@@ -175,4 +165,21 @@ def prediction_differential(
                             f"{nnodes}n {label}: holdout error {err:.3f} "
                             f"exceeds stated band {pred.band:.3f}"
                         )
+
+    # --- 4. a re-clocked machine never takes the surrogate --------------
+    for s in corpus:
+        if not selected(s):
+            continue
+        cluster = get_cluster(s.cluster)
+        clocked = apply_frequency(
+            cluster, RECLOCK_RATIO * cluster.node.cpu.nominal_clock_hz
+        )
+        pred = predict(PredictionSpec.for_sample(s, cluster_obj=clocked),
+                       corpus=corpus, allow_des=False, sample_limit=sample_limit)
+        if pred.tier == "surrogate":
+            failures.append(
+                f"surrogate {s.benchmark}/{s.cluster}/{s.nnodes}n re-clocked "
+                f"to {RECLOCK_RATIO:.3f}x nominal: answered from "
+                f"nominal-clock corpus samples"
+            )
     return failures

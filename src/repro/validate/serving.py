@@ -25,25 +25,20 @@ empty means the service is transparent.
 
 from __future__ import annotations
 
-import os
-from typing import Optional
+from repro.validate.golden import (
+    DEFAULT_GOLDEN_DIR,
+    fingerprint,
+    golden_cases,
+    run_case,
+)
 
 #: max_band offered on the predict-path check: generous enough that the
 #: surrogate (exact at corpus points) always qualifies at golden specs.
 PREDICT_MAX_BAND = 0.25
 
 
-def _default_golden_dir() -> str:
-    return os.path.join(
-        os.path.dirname(os.path.dirname(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))))),
-        "tests",
-        "golden",
-    )
-
-
 def serving_differential(
-    golden_dir: Optional[str] = None,
+    golden_dir: str = DEFAULT_GOLDEN_DIR,
     scales: tuple[int, ...] = (1,),
     benchmarks: tuple[str, ...] | None = None,
     clusters: tuple[str, ...] = ("A", "B"),
@@ -53,15 +48,12 @@ def serving_differential(
     direct runs.
 
     ``scales=(1,)`` covers the 1-node corpus lane (the tier-1 default);
-    the CI serving job widens to ``(1, 4)`` — the full checked-in
-    corpus.  Returns failure descriptions (empty list = pass).
+    ``repro validate --lane serving`` widens to ``--scales 1 4`` — the
+    full checked-in corpus.  Returns failure descriptions (empty list =
+    pass).
     """
     from repro.harness.runner import engine_run_count
     from repro.serve import ServeApp, ServeClient, loopback_server
-    from repro.validate.golden import fingerprint, golden_cases, run_case
-
-    if golden_dir is None:
-        golden_dir = _default_golden_dir()
 
     cases = [
         c for c in golden_cases(scales=scales)

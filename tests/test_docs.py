@@ -90,6 +90,15 @@ def test_cli_doc_covers_scenario_flags():
     )
 
 
+def test_cli_doc_covers_every_validation_lane():
+    """docs/cli.md must name every registered ``repro validate --lane``."""
+    from repro.validate.lanes import LANES
+
+    doc = open(os.path.join(ROOT, "docs", "cli.md")).read()
+    missing = [name for name in LANES if f"`{name}`" not in doc]
+    assert not missing, f"lanes undocumented in docs/cli.md: {missing}"
+
+
 def test_scenarios_doc_pins_the_asserted_numbers():
     """docs/scenarios.md must cite the exact sweep optima that
     tests/test_dvfs_energy.py asserts — drift either place and this

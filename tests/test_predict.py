@@ -251,6 +251,26 @@ def test_auto_out_of_hull_falls_back_without_des():
     assert pred.details["fallback"] == "analytic"
 
 
+def test_reclocked_registry_machine_never_takes_the_surrogate():
+    # the corpus holds nominal-clock ClusterA samples; a 1.6 GHz ClusterA
+    # keeps the registry name but must not be corrected by them (the
+    # surrogate answered 14.72 s here while the nominal answer is 10.93 s)
+    from repro.model.dvfs import apply_frequency
+
+    corpus = corpus_from_golden(GOLDEN_DIR)
+    clocked = apply_frequency(get_cluster("A"), 1.6e9)
+    spec = PredictionSpec("soma", "A", 1, cluster_obj=clocked)
+    analytic = predict(spec, tier="analytic")
+    for tier in ("auto", "surrogate"):
+        pred = predict(spec, tier=tier, corpus=corpus, allow_des=False)
+        assert pred.tier == "analytic"
+        assert pred.details["fallback"] == "analytic"
+        assert pred.runtime == analytic.runtime
+    nominal = predict(PredictionSpec("soma", "A", 1), corpus=corpus,
+                      allow_des=False)
+    assert nominal.tier == "surrogate"
+
+
 def test_auto_escalates_to_des_and_feeds_corpus():
     corpus = PredictionCorpus()
     spec = PredictionSpec("tealeaf", "A", 1)

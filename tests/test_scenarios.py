@@ -5,7 +5,7 @@ cluster zoo, reference resolution, serve-spec integration, and the
 The load-bearing property throughout is that a scenario *names* a
 configuration without *changing* it — the deep fingerprint-level form
 of that claim lives in :mod:`repro.validate.scenario` (exercised via
-``repro validate --scenarios`` and its own test below); this file covers
+``repro validate --lane scenarios`` and its own test below); this file covers
 the format and plumbing edges around it.
 """
 
@@ -398,7 +398,7 @@ def test_cli_explicit_flag_beats_scenario(capsys):
 
 
 def test_cli_validate_scenarios(capsys):
-    assert main(["validate", "--scenarios"]) == 0
+    assert main(["validate", "--lane", "scenarios"]) == 0
     out = capsys.readouterr().out.lower()
     assert "scenario" in out
 
