@@ -1,13 +1,13 @@
 """Engine microbenchmark: DES fast path, memoization, matching, sweeps,
-and the paper-scale replay tiers.
+and paper-scale replay.
 
 Quantifies the performance work on the simulation engine itself (not a
 paper figure): event throughput of the run-queue fast path versus the
 pure-heap reference engine, the per-run phase-cost cache, the combined
 effect on a full-node tiny sweep, and — with ``-m paperscale`` — full
 64-node jobs (the scale of the paper's Figs. 5-6) comparing the
-optimized engine (indexed matching + steady-state fast-forward + the
-wavefront level-set tier) against the pre-PR reference flags.  Run with
+optimized engine (indexed matching + level-set replay of periodic
+steps) against the pre-PR reference flags.  Run with
 ``--json`` to emit the ``BENCH_engine.json`` perf-trajectory artifact.
 """
 
@@ -26,9 +26,8 @@ from repro.spechpc import get_benchmark
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "tests", "golden")
 
 #: Reference flags restoring the pre-optimization engine end to end
-#: (``fast_forward=False`` alone would force the wavefront tier, so the
-#: reference must disable both replay tiers explicitly).
-PRE_PR_FLAGS = dict(fast_forward=False, matcher="linear", wavefront=False)
+#: (linear matching, every step simulated).
+PRE_PR_FLAGS = dict(matcher="linear", wavefront=False)
 
 
 def _timed(fn):
@@ -205,9 +204,9 @@ def test_full_node_sweep_speedup(benchmark):
 
 
 def test_fast_engine_equivalence_smoke(benchmark, perf_records):
-    """CI smoke case: one-node lbm with enough steps for the
-    fast-forward to engage; the optimized engine must agree bit-for-bit
-    with the pre-PR reference flags (and with each flag individually)."""
+    """CI smoke case: one-node lbm with enough steps for replay to
+    engage; the optimized engine must agree bit-for-bit with the pre-PR
+    reference flags (and with each flag individually)."""
     cluster = get_cluster("ClusterA")
     bench = get_benchmark("lbm")
     n = cluster.node.cores
@@ -222,11 +221,10 @@ def test_fast_engine_equivalence_smoke(benchmark, perf_records):
         return fast, t_fast, ref, t_ref
 
     fast, t_fast, ref, t_ref = benchmark.pedantic(compare, rounds=1, iterations=1)
-    assert fast.meta["fast_forward"] is True
+    assert fast.meta["wavefront"] is True
     assert _identical(fast, ref), "optimized engine diverged from reference"
     for flag in (
-        dict(fast_forward=False),           # forces the wavefront tier
-        dict(fast_forward=False, wavefront=False),
+        dict(wavefront=False),
         dict(matcher="linear"),
         dict(fast_path=False),
         dict(memoize=False),
@@ -244,16 +242,16 @@ def test_fast_engine_equivalence_smoke(benchmark, perf_records):
         "reference_s": round(t_ref, 4),
         "speedup": round(t_ref / t_fast, 3),
         "identical": True,
-        "fast_forward_engaged": True,
+        "wavefront_engaged": True,
     })
     assert t_ref / t_fast >= 1.0, "engine regression: smoke case below 1x"
 
 
 def test_wavefront_smoke(benchmark, perf_records):
-    """CI smoke case for the wavefront tier: one-node minisweep — no
-    collective, skewed step boundaries — with enough steps for the DAG
-    replay to engage; must agree bit-for-bit with the pre-PR reference
-    and never regress below it."""
+    """CI smoke case for replay on a skewed structure: one-node minisweep
+    — no collective, skewed step boundaries — with enough steps for the
+    DAG replay to engage; must agree bit-for-bit with the pre-PR
+    reference and never regress below it."""
     cluster = get_cluster("ClusterA")
     bench = get_benchmark("minisweep")
     n = cluster.node.cores
@@ -270,7 +268,7 @@ def test_wavefront_smoke(benchmark, perf_records):
     fast, t_fast, ref, t_ref = benchmark.pedantic(compare, rounds=1, iterations=1)
     assert fast.meta["wavefront"] is True
     assert ref.meta["wavefront"] is False
-    assert _identical(fast, ref), "wavefront tier diverged from reference"
+    assert _identical(fast, ref), "replay diverged from reference"
     wf = fast.meta["metrics"]["wavefront"]
     print()
     print(f"minisweep 1-node x {steps} steps: optimized {t_fast:.2f}s, "
@@ -393,31 +391,24 @@ def test_paper_scale_grid_predict(benchmark, perf_records):
 @pytest.mark.paperscale
 def test_paper_scale_64node(benchmark, perf_records):
     """Acceptance targets: >= 5x on the paper-scale 64-node minisweep
-    case (the wavefront tier's raison d'être), >= 5x combined, and **no
-    case below 1x** — bit-identical throughout.
+    case (the skewed KBA pipeline), >= 5x combined, and **no case below
+    1x** — bit-identical throughout.
 
     lbm (torus halo exchange + allreduce) runs a 128-step slice of its
-    600-step tiny workload: its step structure is exactly periodic and
-    globally synchronized, so the steady-state fast-forward simulates
-    four steps and replays the rest analytically.  minisweep has no
-    collective (Table 1) and weather's halo pipeline keeps its step
-    boundaries skewed — the synchronized tier declines both, and the
-    wavefront tier carries them: the journaled step compiles once into
-    a rank x step dependency DAG and the remaining steps replay as
-    vectorized level-set relaxation, O(levels) instead of O(events).
+    600-step tiny workload; minisweep has no collective (Table 1) and
+    weather's halo pipeline keeps its step boundaries skewed.  All three
+    take the one replay path: four steps are simulated, the journaled
+    step compiles once into a rank x step dependency DAG, and the
+    remaining steps replay as vectorized level-set relaxation, O(levels)
+    instead of O(events).
     """
     cluster = replace(get_cluster("ClusterA"), max_nodes=64)
     n = 64 * cluster.node.cores
-    # (benchmark, sim_steps, expected engaged tier)
-    cases = [
-        ("lbm", 128, "sync"),
-        ("minisweep", 40, "wavefront"),
-        ("weather", 128, "wavefront"),
-    ]
+    cases = [("lbm", 128), ("minisweep", 40), ("weather", 128)]
 
     def compare():
         out = {}
-        for name, steps, tier in cases:
+        for name, steps in cases:
             bench = get_benchmark(name)
             t_fast, fast = _timed(
                 lambda: run(bench, cluster, n, sim_steps=steps)
@@ -426,30 +417,28 @@ def test_paper_scale_64node(benchmark, perf_records):
                 lambda: run(bench, cluster, n, sim_steps=steps, **PRE_PR_FLAGS)
             )
             assert _identical(fast, ref), f"{name} diverged from reference"
-            assert fast.meta["fast_forward"] is True, f"{name}: no tier engaged"
-            engaged = "wavefront" if fast.meta["wavefront"] else "sync"
-            assert engaged == tier, f"{name}: {engaged} engaged, expected {tier}"
-            out[name] = (t_fast, t_ref, engaged)
+            assert fast.meta["wavefront"] is True, f"{name}: replay not engaged"
+            out[name] = (t_fast, t_ref)
         return out
 
     timings = benchmark.pedantic(compare, rounds=1, iterations=1)
     rows = [
-        (name, f"{t_fast:.2f}", f"{t_ref:.2f}", f"{t_ref / t_fast:.2f}x", tier)
-        for name, (t_fast, t_ref, tier) in timings.items()
+        (name, f"{t_fast:.2f}", f"{t_ref:.2f}", f"{t_ref / t_fast:.2f}x")
+        for name, (t_fast, t_ref) in timings.items()
     ]
     t_fast_all = sum(v[0] for v in timings.values())
     t_ref_all = sum(v[1] for v in timings.values())
     combined = t_ref_all / t_fast_all
     rows.append(("combined", f"{t_fast_all:.2f}", f"{t_ref_all:.2f}",
-                 f"{combined:.2f}x", "-"))
+                 f"{combined:.2f}x"))
     print()
     print(ascii_table(
-        ["case", "optimized [s]", "pre-PR flags [s]", "speedup", "tier"],
+        ["case", "optimized [s]", "pre-PR flags [s]", "speedup"],
         rows,
         title=f"Paper scale: 64 nodes x {cluster.node.cores} ranks "
         f"({n} ranks), bit-identical",
     ))
-    for name, (t_fast, t_ref, tier) in timings.items():
+    for name, (t_fast, t_ref) in timings.items():
         perf_records.append({
             "case": f"paper_scale_{name}_64node",
             "nprocs": n,
@@ -457,7 +446,6 @@ def test_paper_scale_64node(benchmark, perf_records):
             "reference_s": round(t_ref, 4),
             "speedup": round(t_ref / t_fast, 3),
             "identical": True,
-            "tier": tier,
         })
     perf_records.append({
         "case": "paper_scale_combined_64node",
@@ -466,7 +454,7 @@ def test_paper_scale_64node(benchmark, perf_records):
         "speedup": round(combined, 3),
     })
     # hard no-regression gate: every case must at least break even
-    for name, (t_fast, t_ref, _) in timings.items():
+    for name, (t_fast, t_ref) in timings.items():
         assert t_ref / t_fast >= 1.0, f"engine regression on {name}"
     assert timings["minisweep"][1] / timings["minisweep"][0] >= 5.0
     assert combined >= 5.0

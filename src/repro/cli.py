@@ -750,9 +750,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--faults", metavar="PLAN.json",
                     help="inject faults from a FaultPlan JSON file")
     pr.add_argument("--no-wavefront", action="store_false", dest="wavefront",
-                    help="disable the wavefront replay tier (see "
-                         "repro.spechpc.wavefront); every step is simulated "
-                         "unless the synchronized fast-forward engages")
+                    help="disable replay of periodic steps (see "
+                         "repro.spechpc.wavefront); every step is simulated")
     pr.set_defaults(fn=_cmd_run)
 
     pt = sub.add_parser(
@@ -831,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="print engine metrics aggregated over all runs "
                          "(includes the wavefront tier-decision counters)")
     ps.add_argument("--no-wavefront", action="store_false", dest="wavefront",
-                    help="disable the wavefront replay tier for every point")
+                    help="disable replay of periodic steps for every point")
     ps.set_defaults(fn=_cmd_sweep)
 
     pw = sub.add_parser(

@@ -31,7 +31,7 @@ tolerance window could be mistaken for the real completion.)
 
 ``light=True`` (virtual-clock only) additionally enables a *solo-flow
 fast path*: while exactly one flow is active — the common case for runs
-whose replay tier is structurally ineligible and which are below paper
+whose replay is structurally ineligible and which are below paper
 scale, where the harness hints that nothing will ever consume the full
 bookkeeping — the flow skips the finish-time heap entirely.  The
 completion time is computed with the exact virtual-clock arithmetic

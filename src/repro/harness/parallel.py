@@ -106,7 +106,6 @@ class RunSpec:
     fast_path: bool = True
     memoize: bool = True
     matcher: str = "indexed"
-    fast_forward: bool = True
     wavefront: bool = True
     faults: Optional["FaultPlan"] = None
     max_events: Optional[int] = None
@@ -147,7 +146,6 @@ def execute(spec: RunSpec) -> RunResult:
         fast_path=spec.fast_path,
         memoize=spec.memoize,
         matcher=spec.matcher,
-        fast_forward=spec.fast_forward,
         wavefront=spec.wavefront,
         faults=spec.faults,
         max_events=spec.max_events,

@@ -65,7 +65,6 @@ def run(
     fast_path: bool = True,
     memoize: bool = True,
     matcher: str = "indexed",
-    fast_forward: bool = True,
     wavefront: bool = True,
     faults: Optional[FaultPlan] = None,
     max_events: Optional[int] = None,
@@ -86,8 +85,8 @@ def run(
     trace:
         Collect an ITAC-style event trace (slower, more memory).
         ``"streaming"`` collects bounded per-rank aggregates instead of
-        every interval (for paper-scale jobs); any tracing disables the
-        steady-state fast-forward.
+        every interval (for paper-scale jobs); any tracing disables
+        replay.
     noise_sigma:
         Relative run-to-run compute jitter (the paper repeats runs and
         reports min/max/avg); 0 disables noise.
@@ -106,22 +105,16 @@ def run(
         Message-matching implementation: ``"indexed"`` (default, O(1)
         amortized) or ``"linear"`` (the original O(pending) scan kept as
         the reference).  Bit-identical results either way.
-    fast_forward:
-        Allow the steady-state fast-forward (see
-        :mod:`repro.spechpc.fastforward`): once a benchmark's step
-        structure is observed to be exactly periodic, remaining steps are
-        advanced analytically with bit-identical statistics.  Runs with
-        noise, faults, or tracing force full fidelity regardless.
     wavefront:
-        Allow the wavefront replay tier (see
-        :mod:`repro.spechpc.wavefront`): periodic steps whose boundaries
-        are *not* globally synchronized — KBA sweeps, skewed halo
-        pipelines — are compiled into a dependency DAG and advanced with
-        vectorized level-set replay, bit-identical to full simulation.
-        Shares the fast-forward's eligibility gating;
-        ``fast_forward=False, wavefront=True`` forces the wavefront tier
-        even for structures the synchronized tier could handle (the
-        validation configuration).
+        Allow replay (see :mod:`repro.spechpc.fastforward` and
+        :mod:`repro.spechpc.wavefront`): once a benchmark's step
+        structure is observed to be exactly periodic, the journaled step
+        is compiled into a dependency DAG and the remaining steps are
+        advanced with vectorized level-set replay, with bit-identical
+        statistics.  Collective-closed steps, KBA sweeps and skewed halo
+        pipelines all take this one path.  ``wavefront=False`` simulates
+        every step (the reference path); runs with noise, faults or
+        tracing force full fidelity regardless.
     faults:
         A :class:`~repro.faults.plan.FaultPlan` to inject (slow ranks,
         OS-noise bursts, degraded links, rank crashes).  ``None`` or an
@@ -136,14 +129,14 @@ def run(
         same-time cross-channel mailbox arrival order are shuffled with
         this seed.  A well-formed model's results are invariant under
         every seed; the fast paths that encode fixed tie-breaks
-        (run-queue, fast-forward) are disabled for the perturbed run.
+        (run-queue, replay) are disabled for the perturbed run.
     invariants:
         Attach an :class:`~repro.validate.invariants.InvariantChecker`
         enforcing MPI conformance (non-overtaking, conservation,
         collective completeness, monotonic clocks) on every event; a
         violation raises
         :class:`~repro.validate.invariants.InvariantViolation`.  Forces
-        full fidelity (no fast-forward), results otherwise unchanged.
+        full fidelity (no replay), results otherwise unchanged.
 
     Raises
     ------
@@ -202,17 +195,13 @@ def run(
 
         checker = InvariantChecker(nprocs)
 
-    # shared tier gating: full fidelity is forced (no controller)
+    # shared replay gating: full fidelity is forced (no controller)
     # whenever anything can perturb or observe individual steps — noise,
     # faults, tracing, invariants, perturbation, or an un-memoized
     # (generation-less) pricing model
-    from repro.spechpc.fastforward import (
-        PAPER_SCALE_RANKS,
-        FastForwardController,
-        replay_ineligibility,
-    )
+    from repro.spechpc.fastforward import PAPER_SCALE_RANKS, replay_ineligibility
 
-    tier_declined = replay_ineligibility(
+    replay_declined = replay_ineligibility(
         noise=noise,
         faults=injector,
         trace=collector,
@@ -221,11 +210,11 @@ def run(
         memoize=memoize,
         sim_steps=steps,
     )
-    tier_active = tier_declined is None and (fast_forward or wavefront)
+    replay_active = replay_declined is None and wavefront
     # light-machinery hint: a structurally ineligible small run skips the
     # matching-stamp and virtual-clock bookkeeping nothing will consume
     light = (
-        not tier_active and nprocs < PAPER_SCALE_RANKS and perturb_seed is None
+        not replay_active and nprocs < PAPER_SCALE_RANKS and perturb_seed is None
     )
     runtime = MpiRuntime(
         cluster,
@@ -240,19 +229,14 @@ def run(
         light=light,
     )
     ctx.runtime = runtime
-    if tier_active:
-        if wavefront:
-            from repro.spechpc.wavefront import WavefrontController
+    if replay_active:
+        from repro.spechpc.wavefront import ReplayController
 
-            ctl = WavefrontController(
-                runtime, steps, ctx.exec_model, allow_sync=fast_forward
-            )
-        else:
-            ctl = FastForwardController(runtime, steps, ctx.exec_model)
-        ctx.fast_forward = ctl
+        ctl = ReplayController(runtime, steps, ctx.exec_model)
+        ctx.replay = ctl
         runtime.tier_metrics = ctl.metrics
     else:
-        code = tier_declined[0] if tier_declined is not None else "disabled"
+        code = replay_declined[0] if replay_declined is not None else "disabled"
         runtime.tier_metrics = lambda code=code: {f"declined.{code}": 1.0}
     _engine_tally.bump()
     job = runtime.launch(
@@ -287,15 +271,7 @@ def run(
         "sim_steps": steps,
         "seed": seed,
         "noise_sigma": noise_sigma,
-        "fast_forward": (
-            ctx.fast_forward is not None
-            and getattr(ctx.fast_forward, "engaged", False)
-        ),
-        "wavefront": (
-            ctx.fast_forward is not None
-            and getattr(ctx.fast_forward, "mode", None) == "wavefront"
-            and ctx.fast_forward.engaged
-        ),
+        "wavefront": ctx.replay is not None and ctx.replay.engaged,
         "metrics": run_metrics(runtime),
     }
     if perturb_seed is not None:

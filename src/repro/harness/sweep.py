@@ -26,7 +26,6 @@ def scaling_sweep(
     fast_path: bool = True,
     memoize: bool = True,
     matcher: str = "indexed",
-    fast_forward: bool = True,
     wavefront: bool = True,
     faults: Optional[FaultPlan] = None,
     timeout: Optional[float] = None,
@@ -94,7 +93,7 @@ def scaling_sweep(
             des_kwargs=dict(
                 sim_steps=sim_steps, noise_sigma=noise_sigma,
                 fast_path=fast_path, memoize=memoize, matcher=matcher,
-                fast_forward=fast_forward, wavefront=wavefront,
+                wavefront=wavefront,
                 faults=faults, max_events=max_events,
                 sim_time_limit=sim_time_limit,
             ),
@@ -112,7 +111,6 @@ def scaling_sweep(
             fast_path=fast_path,
             memoize=memoize,
             matcher=matcher,
-            fast_forward=fast_forward,
             wavefront=wavefront,
             faults=faults,
             max_events=max_events,

@@ -312,7 +312,7 @@ class MemoizedExecutionModel:
         self._cache: dict = {}
         #: bumped on every cache miss — a stable generation across a
         #: window of steps proves the priced cost vector is periodic
-        #: (the steady-state fast-forward eligibility check)
+        #: (the replay eligibility check)
         self.generation = 0
 
     def phase_cost(

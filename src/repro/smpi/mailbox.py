@@ -40,7 +40,7 @@ hot path: stamps exist only to order *queued* items against each other
 post stamps — never across sides), so they can be assigned lazily at
 queue-append time from the same counter, preserving queue order exactly.
 A call that matches immediately never draws a stamp.  The runner enables
-this only when the run's replay tier is structurally ineligible and the
+this only when the run's replay is structurally ineligible and the
 rank count is below the paper-scale threshold — small wavefront runs
 stop paying for machinery they can never use.  Results are bit-identical;
 light is ignored (forced off) for the linear matcher and under the

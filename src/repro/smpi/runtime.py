@@ -169,7 +169,7 @@ class MpiRuntime:
         that observes every send, match, and collective arrival and is
         finalized after the run.
 
-        ``light=True`` is the runner's hint that no replay tier can ever
+        ``light=True`` is the runner's hint that replay can never
         engage and the run is below paper scale: mailboxes skip the
         matching-stamp bookkeeping whose only consumers are machinery
         this run cannot use (bit-identical results either way)."""
@@ -224,7 +224,7 @@ class MpiRuntime:
                 )
                 for r in range(nprocs)
             ]
-        #: optional step-journal recorder (attached by the fast-forward
+        #: optional step-journal recorder (attached by the replay
         #: controller only while it is capturing a representative step)
         self.recorder: Any | None = None
         #: post-run tier-decision counters (set by the runner; the

@@ -150,9 +150,9 @@ class RunContext:
     runtime: MpiRuntime | None = None
     threads: int = 1
     memoize: bool = True
-    #: optional steady-state fast-forward controller (set by the harness
-    #: for eligible runs; see :mod:`repro.spechpc.fastforward`)
-    fast_forward: object | None = field(default=None, repr=False)
+    #: optional replay controller (set by the harness for eligible runs;
+    #: see :mod:`repro.spechpc.wavefront`)
+    replay: object | None = field(default=None, repr=False)
     _stretch_cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
@@ -220,13 +220,13 @@ class RunContext:
             while (yield loop.next_step()):
                 ... one time step ...
 
-        Without a fast-forward controller this counts steps exactly like
+        Without a replay controller this counts steps exactly like
         ``for _ in range(ctx.sim_steps)``; with one it additionally runs
         the steady-state detection protocol at the step boundaries.
         """
         from repro.spechpc.fastforward import StepLoop
 
-        return StepLoop(comm, self.sim_steps, self.fast_forward)
+        return StepLoop(comm, self.sim_steps, self.replay)
 
 
 class _HybridModelProxy:

@@ -25,42 +25,49 @@ accumulator arithmetic without generators, signals, or heap events.
 
 Protocol (driven by :class:`StepLoop` at step boundaries)
 ---------------------------------------------------------
-* boundary 1: attach a :class:`StepRecorder`; steps 1 and 2 are journaled
-  as per-rank op lists (constants only — no absolute times).
-* boundary 3: detach; the last rank checks *eligibility*: both journals
-  bitwise equal on every rank, every journal ends with a full-communicator
-  collective (so step boundaries are globally synchronized), boundary
-  timestamps identical across ranks, no unsupported ops (wildcards,
-  payload-carrying sends, data reductions), memoized phase pricing stable
-  (no cache misses while recording), and at least one step remains.
-* boundary 4: ranks park on a decision signal.  The last arrival verifies
-  the quiescent state (all ranks at the same instant, mailboxes empty, no
-  pending events), **validates** the replayer against reality — replaying
-  one step from boundary 3 must land every rank exactly on the observed
-  boundary-4 clock — and then replays all remaining steps in pure Python,
-  applying per-rank statistics directly.  Ranks wake, jump to their final
-  clocks, and their bodies finish.  Any check failing releases the ranks
-  untouched ("go") and disables fast-forward for the run.
+* boundary 1 (:data:`RECORD_FIRST`): attach a :class:`StepRecorder`;
+  steps 1 and 2 are journaled as per-rank op lists (constants only — no
+  absolute times).
+* boundary 3 (:data:`DECIDE`): detach; the last rank checks
+  *eligibility*: both journals bitwise equal on every rank, no
+  unsupported ops (wildcards, payload-carrying sends, data reductions),
+  memoized phase pricing stable (no cache misses while recording), and
+  at least one step remains.  Step boundaries need not be synchronized
+  and a step need not end in a collective: the journaled step is
+  compiled into a level-set dependency DAG
+  (:class:`~repro.spechpc.wavefront.WavefrontProgram`), which declines
+  only when its matches would cross the step boundary or its
+  dependencies are cyclic.
+* boundary 4 (:data:`PARK`): ranks park on a decision signal (a rank
+  that arrives before the decision was taken declines replay instead:
+  parking the others would strand it).  The last
+  arrival verifies the quiescent state (mailboxes empty, no pending
+  events), **validates** the compiled program against reality —
+  replaying one step from every rank's boundary-3 clock must land every
+  rank exactly on its observed boundary-4 clock, and the scalar
+  :class:`Replayer` must agree — and then replays all remaining steps,
+  applying per-rank statistics directly.  Ranks wake, jump to their
+  final clocks, and their bodies finish.  Any check failing releases
+  the ranks untouched ("go") and disables replay for the run.
 
-Fidelity is forced (the controller is never created) for runs with
-noise, fault injection, tracing, ``memoize=False``, or
-``fast_forward=False`` — those simulate every step as before.  The
-shared gating lives in :func:`replay_ineligibility` so the runner and
-the wavefront tier (:mod:`repro.spechpc.wavefront`) apply exactly the
-same rules.
+This module holds the recorder, the shared gating, the scalar reference
+replayer and the step loop; the controller that runs the protocol lives
+next to the DAG compiler in :mod:`repro.spechpc.wavefront`.  Fidelity is
+forced (the controller is never created) for runs with noise, fault
+injection, tracing, ``memoize=False``, or ``wavefront=False`` — those
+simulate every step as before; :func:`replay_ineligibility` holds that
+gating.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Optional, Sequence, Union
 
-import numpy as np
-
 from repro.des.simulator import Signal, Wait
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.smpi.comm import Communicator
-    from repro.smpi.runtime import MpiRuntime
+    from repro.spechpc.wavefront import ReplayController
 
 
 class ReplayUnsupported(Exception):
@@ -69,10 +76,16 @@ class ReplayUnsupported(Exception):
 
 
 #: Rank count at or above which a run counts as "paper scale" for the
-#: light-machinery hint: below it, runs whose replay tier is structurally
+#: light-machinery hint: below it, runs whose replay is structurally
 #: ineligible skip the indexed-matching stamp bookkeeping (see
 #: :mod:`repro.smpi.mailbox`) because nothing will ever consume it.
 PAPER_SCALE_RANKS = 256
+
+#: Step-boundary indices of the replay protocol (see the module
+#: docstring): the first journaled step, the decision, the parking point.
+RECORD_FIRST = 1
+DECIDE = 3
+PARK = 4
 
 
 def replay_ineligibility(
@@ -85,13 +98,12 @@ def replay_ineligibility(
     memoize: bool = True,
     sim_steps: int = 0,
 ) -> Optional[tuple[str, str]]:
-    """Why a run can never engage a replay tier, or ``None`` if it may.
+    """Why a run can never engage replay, or ``None`` if it may.
 
-    This is the single source of truth for the *structural* gating shared
-    by the steady-state fast-forward and the wavefront tier: anything
-    that perturbs or observes individual steps (noise, faults, tracing,
-    invariant checking, schedule perturbation, un-memoized pricing) or
-    leaves no step to skip forces full fidelity.  Returns a
+    This is the single source of truth for the *structural* replay
+    gating: anything that perturbs or observes individual steps (noise,
+    faults, tracing, invariant checking, schedule perturbation,
+    un-memoized pricing) or leaves no step to skip forces full fidelity.  Returns a
     ``(code, reason)`` pair — the code is a stable slug used for the
     ``wavefront.declined.<code>`` metric.
     """
@@ -107,7 +119,7 @@ def replay_ineligibility(
         return ("perturb", "schedule perturbation forbids fixed tie-breaks")
     if not memoize:
         return ("nomemo", "un-memoized pricing has no stable generation")
-    if sim_steps < FastForwardController.PARK + 1:
+    if sim_steps < PARK + 1:
         return ("steps", "no steps left after the recording prologue")
     return None
 
@@ -439,523 +451,8 @@ class Replayer:
 
 
 # --------------------------------------------------------------------------
-# vectorized replay (structurally uniform benchmarks)
+# step loop
 # --------------------------------------------------------------------------
-
-#: counter names a compute phase updates, in the communicator's order
-_COMPUTE_COUNTERS = (
-    "flops", "simd_flops", "mem_bytes", "l3_bytes", "l2_bytes",
-    "busy_seconds", "heat_seconds", "heat_busy_seconds",
-)
-
-
-class VectorReplayer:
-    """Column-vectorized replay: all ranks advance one op *column* at a
-    time as numpy array operations.
-
-    Compiles only when the journals are **structurally uniform**: every
-    rank has the same op-kind sequence, every wait column resolves
-    against the same own/peer columns on every rank (peers themselves
-    may differ — they become gather indices), and all referenced columns
-    precede the consuming column (so column order is a valid schedule).
-    Stencil benchmarks on periodic grids (lbm's torus) satisfy this;
-    anything else returns ``None`` from :meth:`compile` and the scalar
-    :class:`Replayer` is used instead.
-
-    Bit-identity: numpy float64 elementwise ``+``/``-``/``maximum``/
-    ``where`` are the same IEEE-754 double operations the scalar engine
-    performs, applied to the same operands in the same per-rank order,
-    so the results (clocks, statistics, counters) are bitwise equal.
-    The controller still cross-checks the compiled program against the
-    scalar replayer on the observed validation step before trusting it.
-    """
-
-    def __init__(self, program: list, nprocs: int, ncols: int) -> None:
-        self._program = program
-        self.nprocs = nprocs
-        self._ncols = ncols
-
-    # --- compilation --------------------------------------------------------
-
-    @classmethod
-    def compile(cls, journals: list[list], nprocs: int) -> Optional["VectorReplayer"]:
-        try:
-            return cls._compile(journals, nprocs)
-        except _NotUniform:
-            return None
-
-    @classmethod
-    def _compile(cls, journals, nprocs):
-        ncols = len(journals[0])
-        if any(len(j) != ncols for j in journals):
-            raise _NotUniform
-
-        # per-rank request bookkeeping: hid -> (column, code), plus the
-        # per-key FIFO column lists both sides of a match pair against
-        hid_src = [dict() for _ in range(nprocs)]
-        send_cols = [dict() for _ in range(nprocs)]   # (dest, tag) -> [col]
-        recv_cols = [dict() for _ in range(nprocs)]   # (src, tag)  -> [col]
-        send_ord = [dict() for _ in range(nprocs)]    # col -> ordinal
-        recv_ord = [dict() for _ in range(nprocs)]    # col -> ordinal
-        for r, ops in enumerate(journals):
-            for j, op in enumerate(ops):
-                code = op[0]
-                if code == "isend":
-                    hid_src[r][op[1]] = (j, "isend")
-                    lst = send_cols[r].setdefault((op[2], op[3]), [])
-                    send_ord[r][j] = len(lst)
-                    lst.append(j)
-                elif code == "irecv":
-                    hid_src[r][op[1]] = (j, "irecv")
-                    lst = recv_cols[r].setdefault((op[2], op[3]), [])
-                    recv_ord[r][j] = len(lst)
-                    lst.append(j)
-
-        def uniform(values):
-            first = values[0]
-            for v in values:
-                if v != first:
-                    raise _NotUniform
-            return first
-
-        def farr(col_vals):
-            return np.array(col_vals, dtype=np.float64)
-
-        def send_resolver(j, c):
-            """Resolve a wait on the isend at column ``c`` (own send)."""
-            mode = uniform([journals[r][c][5][0] for r in range(nprocs)])
-            if mode == "e":
-                ov = farr([journals[r][c][5][2] for r in range(nprocs)])
-                return ("edone", c, ov)
-            # rendezvous: completion needs the peer's posted-receive time
-            pcols, peers = [], []
-            for r in range(nprocs):
-                op = journals[r][c]
-                dest, tag = op[2], op[3]
-                k = send_ord[r][c]
-                posts = recv_cols[dest].get((r, tag))
-                if posts is None or len(posts) <= k:
-                    raise _NotUniform
-                pcols.append(posts[k])
-                peers.append(dest)
-            pcol = uniform(pcols)
-            if pcol >= j or c >= j:
-                raise _NotUniform
-            p = [journals[r][c][5] for r in range(nprocs)]
-            return (
-                "sendr", c, pcol, np.array(peers),
-                farr([x[2] for x in p]), farr([x[3] for x in p]),
-                farr([x[4] for x in p]), farr([x[5] for x in p]),
-            )
-
-        def recv_resolver(j, c):
-            """Resolve a wait on the irecv at column ``c``."""
-            scols, peers = [], []
-            for r in range(nprocs):
-                op = journals[r][c]
-                src, tag = op[2], op[3]
-                k = recv_ord[r][c]
-                sends = send_cols[src].get((r, tag))
-                if sends is None or len(sends) <= k:
-                    raise _NotUniform
-                scols.append(sends[k])
-                peers.append(src)
-            scol = uniform(scols)
-            if scol >= j or c >= j:
-                raise _NotUniform
-            peer = np.array(peers)
-            mode = uniform([journals[r][scol][5][0] for r in range(nprocs)])
-            # sender-side params, pre-gathered per receiving rank
-            p = [journals[pr][scol][5] for pr in peers]
-            if mode == "e":
-                return ("recve", c, scol, peer, farr([x[2] for x in p]))
-            return (
-                "recvr", c, scol, peer,
-                farr([x[2] for x in p]), farr([x[3] for x in p]),
-                farr([x[4] for x in p]), farr([x[5] for x in p]),
-            )
-
-        def resolver(j, hid_col):
-            srcs = [hid_src[r].get(hid_col[r]) for r in range(nprocs)]
-            if any(s is None for s in srcs):
-                raise _NotUniform
-            c = uniform([s[0] for s in srcs])
-            code = uniform([s[1] for s in srcs])
-            if code == "isend":
-                return send_resolver(j, c)
-            return recv_resolver(j, c)
-
-        program = []
-        for j in range(ncols):
-            col = [journals[r][j] for r in range(nprocs)]
-            code = uniform([op[0] for op in col])
-            if code == "compute":
-                program.append(
-                    ("compute",) + tuple(
-                        farr([op[i] for op in col]) for i in range(1, 10)
-                    )
-                )
-            elif code == "isend":
-                mode = uniform([op[5][0] for op in col])
-                nbytes = farr([op[4] for op in col])
-                lat1 = farr([op[5][1] for op in col])
-                program.append(("send", j, lat1, nbytes))
-            elif code == "irecv":
-                program.append(("post", j))
-            elif code == "wait":
-                kind = uniform([op[2] for op in col])
-                program.append(
-                    ("wait", kind, resolver(j, [op[1] for op in col]))
-                )
-            elif code == "srwait":
-                program.append((
-                    "srwait",
-                    resolver(j, [op[1] for op in col]),
-                    resolver(j, [op[2] for op in col]),
-                ))
-            elif code == "coll":
-                kind = uniform([op[1] for op in col])
-                uniform([op[2] for op in col])  # per-step ordinal
-                costs = [op[3] for op in col]
-                has_nb = uniform([op[4] is not None for op in col])
-                nbytes = farr([op[4] for op in col]) if has_nb else None
-                # the scalar gate maxes costs starting from 0.0
-                program.append(("coll", kind, max([0.0] + costs), nbytes))
-            else:
-                raise _NotUniform
-        return cls(program, nprocs, ncols)
-
-    # --- execution ----------------------------------------------------------
-
-    def run(self, t_start: float, nsteps: int,
-            stats: Optional[list] = None) -> list[float]:
-        n = self.nprocs
-        t = np.full(n, t_start, dtype=np.float64)
-        tacc = cacc = touched = None
-        if stats is not None:
-            kinds = {"compute"}
-            for ins in self._program:
-                if ins[0] == "wait" or ins[0] == "coll":
-                    kinds.add(ins[1])
-                elif ins[0] == "srwait":
-                    kinds.add("MPI_Sendrecv")
-            tacc = {
-                k: np.array([s.time_by_kind.get(k, 0.0) for s in stats])
-                for k in kinds
-            }
-            touched = {
-                k: np.array([k in s.time_by_kind for s in stats], dtype=bool)
-                for k in kinds
-            }
-            if any(ins[0] == "compute" for ins in self._program):
-                # compute adds unconditionally, so the key always appears
-                touched["compute"][:] = True
-            names = _COMPUTE_COUNTERS + ("messages", "msg_bytes")
-            cacc = {
-                nm: np.array([s.counters.get(nm, 0.0) for s in stats])
-                for nm in names
-            }
-        maximum, where = np.maximum, np.where
-        S: list = [None] * self._ncols
-        A: list = [None] * self._ncols
-
-        def resolve(res):
-            """(fin, fire) arrays of one resolver."""
-            mode = res[0]
-            if mode == "edone":
-                post = S[res[1]]
-                return post + res[2], post
-            if mode == "sendr":
-                _, c, pcol, peer, hs, lat, xf, ov = res
-                start = maximum(S[pcol][peer], A[c])
-                return start + hs + lat + xf + ov, start
-            if mode == "recve":
-                _, c, scol, peer, ov = res
-                start = maximum(S[c], A[scol][peer])
-                return start + ov, start
-            _, c, scol, peer, hs, lat, xf, ov = res
-            start = maximum(S[c], A[scol][peer])
-            return start + hs + lat + xf + ov, start
-
-        for _ in range(nsteps):
-            for ins in self._program:
-                code = ins[0]
-                if code == "compute":
-                    sec = ins[1]
-                    t = t + sec
-                    if stats is not None:
-                        tacc["compute"] += sec
-                        for nm, col in zip(_COMPUTE_COUNTERS, ins[2:]):
-                            cacc[nm] += col
-                elif code == "send":
-                    _, j, lat1, nbytes = ins
-                    S[j] = t
-                    A[j] = t + lat1
-                    if stats is not None:
-                        cacc["messages"] += 1.0
-                        cacc["msg_bytes"] += nbytes
-                elif code == "post":
-                    S[ins[1]] = t
-                elif code == "wait":
-                    _, kind, res = ins
-                    fin, fire = resolve(res)
-                    resume = maximum(fire, t)
-                    nt = where(fin > resume, resume + (fin - resume), resume)
-                    if stats is not None:
-                        mask = nt > t
-                        tacc[kind] = where(mask, tacc[kind] + (nt - t), tacc[kind])
-                        touched[kind] |= mask
-                    t = nt
-                elif code == "srwait":
-                    _, sres, rres = ins
-                    t0 = t
-                    for res in (sres, rres):
-                        fin, fire = resolve(res)
-                        resume = maximum(fire, t)
-                        t = where(fin > resume, resume + (fin - resume), resume)
-                    if stats is not None:
-                        mask = t > t0
-                        tacc["MPI_Sendrecv"] = where(
-                            mask, tacc["MPI_Sendrecv"] + (t - t0),
-                            tacc["MPI_Sendrecv"],
-                        )
-                        touched["MPI_Sendrecv"] |= mask
-                else:  # coll
-                    _, kind, cmax, nbytes = ins
-                    if stats is not None and nbytes is not None:
-                        cacc["messages"] += 1.0
-                        cacc["msg_bytes"] += nbytes
-                    t_fire = t.max()
-                    finish = t_fire + cmax
-                    resume = maximum(t_fire, t)
-                    nt = where(finish > resume, resume + (finish - resume), resume)
-                    if stats is not None:
-                        mask = nt > t
-                        tacc[kind] = where(mask, tacc[kind] + (nt - t), tacc[kind])
-                        touched[kind] |= mask
-                    t = nt
-        if stats is not None:
-            for i, s in enumerate(stats):
-                tbk = s.time_by_kind
-                for kind, arr in tacc.items():
-                    if touched[kind][i] or kind in tbk:
-                        tbk[kind] = float(arr[i])
-                c = s.counters
-                for nm, arr in cacc.items():
-                    c[nm] = float(arr[i])
-        return [float(x) for x in t]
-
-
-class _NotUniform(Exception):
-    """Journals are not column-uniform; compile returns None."""
-
-
-# --------------------------------------------------------------------------
-# controller + step loop
-# --------------------------------------------------------------------------
-
-class FastForwardController:
-    """Per-run coordinator of the recording/decision/replay protocol.
-
-    Created by the harness only for eligible runs (no noise, no faults,
-    no tracing, memoization on, ``fast_forward=True``).  One instance
-    serves all ranks of the run.
-    """
-
-    #: boundary indices of the protocol (see module docstring)
-    RECORD_FIRST = 1
-    DECIDE = 3
-    PARK = 4
-
-    def __init__(self, runtime: "MpiRuntime", sim_steps: int,
-                 exec_model=None) -> None:
-        self.runtime = runtime
-        self.sim_steps = sim_steps
-        self.exec_model = exec_model
-        self.nprocs = runtime.nprocs
-        self.recorder: Optional[StepRecorder] = None
-        self.dead = sim_steps < self.PARK + 1  # nothing left to skip
-        self.engaged = False
-        self._journals: dict[int, list[list]] = {}   # step -> per-rank ops
-        #: boundary index -> per-rank clock (rank-indexed; None = not there
-        #: yet) — rank-indexed so skewed wavefront boundaries keep their
-        #: per-rank identity instead of arrival order
-        self._boundary_now: dict[int, list[Optional[float]]] = {}
-        self._arrived: dict[int, int] = {}
-        self._park_signal = Signal("fast-forward-decision")
-        self._park = False
-        self._gen0: Optional[int] = None
-        self.abort_reason: Optional[str] = None
-        self.abort_code: Optional[str] = None
-        #: replay depth and analytically-skipped op count, set on engage
-        #: (exposed via :meth:`metrics` for the wavefront observability
-        #: counters; the sync tier reports its column count as depth)
-        self.levels = 0
-        self.events_saved = 0
-
-    # --- per-rank boundary hook -------------------------------------------
-
-    def boundary(self, comm: "Communicator", idx: int) -> Optional[Signal]:
-        """Called by every rank right before it starts step ``idx``.
-        Returns a signal to park on at the decision boundary, else None."""
-        if self.dead:
-            return None
-        rt = self.runtime
-        rank = comm.rank
-        if idx == self.RECORD_FIRST:
-            if self.recorder is None:
-                self.recorder = StepRecorder(self.nprocs)
-                rt.recorder = self.recorder
-                self._gen0 = getattr(self.exec_model, "generation", None)
-            self.recorder.begin_step(rank)
-        elif idx == self.RECORD_FIRST + 1:
-            self._journals.setdefault(idx - 1, [None] * self.nprocs)[rank] = (
-                self.recorder.end_step(rank)
-            )
-            self.recorder.begin_step(rank)
-            self._note_boundary(idx, rank, rt.sim.now)
-        elif idx == self.DECIDE:
-            self._journals.setdefault(idx - 1, [None] * self.nprocs)[rank] = (
-                self.recorder.end_step(rank)
-            )
-            if self._note_boundary(idx, rank, rt.sim.now):
-                rt.recorder = None
-                self._decide()
-        elif idx == self.PARK and self._park:
-            if self._note_boundary(idx, rank, rt.sim.now):
-                self._execute(rt.sim.now)
-            return self._park_signal
-        return None
-
-    def _note_boundary(self, idx: int, rank: int, now: float) -> bool:
-        """Record a rank's boundary timestamp; True for the last arrival."""
-        nows = self._boundary_now.get(idx)
-        if nows is None:
-            nows = self._boundary_now[idx] = [None] * self.nprocs
-        nows[rank] = now
-        n = self._arrived.get(idx, 0) + 1
-        self._arrived[idx] = n
-        return n == self.nprocs
-
-    def _abort(self, reason: str, code: str = "aborted") -> None:
-        self.abort_reason = reason
-        self.abort_code = code
-        self.dead = True
-
-    # --- decision ----------------------------------------------------------
-
-    def _common_decline_reason(self) -> Optional[tuple[str, str]]:
-        """Checks every replay tier shares: supported ops, steps left,
-        stable pricing, complete and periodic journals.  Returns a
-        ``(code, reason)`` pair or ``None``."""
-        rec = self.recorder
-        if rec.unsupported is not None:
-            return ("unsupported-op", f"unsupported op: {rec.unsupported}")
-        if self.sim_steps < self.PARK + 1:
-            return ("steps", "no steps left to fast-forward")
-        gen = getattr(self.exec_model, "generation", None)
-        if self._gen0 is None or gen != self._gen0:
-            return ("pricing-unstable", "phase pricing not stable while recording")
-        j1 = self._journals.get(self.RECORD_FIRST)
-        j2 = self._journals.get(self.RECORD_FIRST + 1)
-        if j1 is None or j2 is None or any(x is None for x in j1 + j2):
-            return ("incomplete-journals", "incomplete journals")
-        for r in range(self.nprocs):
-            if j1[r] != j2[r]:
-                return ("not-periodic", f"rank {r} step structure not periodic")
-        return None
-
-    def _sync_decline_reason(self) -> Optional[tuple[str, str]]:
-        """Checks specific to the *synchronized* replay tier: every step
-        ends in a full-communicator collective and all ranks cross each
-        boundary at one instant."""
-        j1 = self._journals[self.RECORD_FIRST]
-        for r in range(self.nprocs):
-            if not j1[r] or j1[r][-1][0] != "coll":
-                return (
-                    "no-collective-boundary",
-                    f"rank {r} step does not end in a collective "
-                    "(boundaries not globally synchronized)",
-                )
-        for idx in (self.RECORD_FIRST + 1, self.DECIDE):
-            nows = self._boundary_now.get(idx)
-            if (
-                nows is None
-                or any(t is None for t in nows)
-                or any(t != nows[0] for t in nows)
-            ):
-                return ("boundaries-skewed", "step boundaries not synchronized")
-        return None
-
-    def _decide(self) -> None:
-        """Last rank at the DECIDE boundary: check eligibility and arm the
-        parking boundary (nothing blocks here — ranks already proceeded)."""
-        declined = self._common_decline_reason() or self._sync_decline_reason()
-        if declined is not None:
-            return self._abort(declined[1], declined[0])
-        self._park = True
-
-    # --- observability -------------------------------------------------------
-
-    def metrics(self) -> dict[str, float]:
-        """Post-run tier-decision counters (the ``wavefront`` metrics
-        source; see :mod:`repro.obs.metrics`)."""
-        if self.engaged:
-            return {
-                "eligible": 1.0,
-                "levels": float(self.levels),
-                "events_saved": float(self.events_saved),
-            }
-        code = self.abort_code if self.abort_code is not None else "undecided"
-        return {f"declined.{code}": 1.0}
-
-    # --- engagement ---------------------------------------------------------
-
-    def _execute(self, now: float) -> None:
-        """Last rank at the PARK boundary: verify, validate, replay, fire."""
-        rt = self.runtime
-        nows = self._boundary_now[self.PARK]
-        try:
-            if any(t != now for t in nows):
-                raise ReplayUnsupported("ranks parked at different times")
-            if not all(m.idle() for m in rt.mailboxes):
-                raise ReplayUnsupported("in-flight messages at the boundary")
-            if rt.sim._heap or rt.sim._runq:
-                raise ReplayUnsupported("pending events at the boundary")
-            journals = self._journals[self.RECORD_FIRST + 1]
-            # validation: replay the step the engine just simulated
-            # (DECIDE -> PARK) and demand bitwise-identical clocks
-            t_decide = self._boundary_now[self.DECIDE][0]
-            predicted = Replayer(journals, self.nprocs).run(t_decide, 1)
-            if any(t != now for t in predicted):
-                raise ReplayUnsupported(
-                    "validation failed: replayed step does not reproduce "
-                    "the simulated boundary clock"
-                )
-            remaining = self.sim_steps - self.PARK
-            # column-uniform structures replay vectorized across ranks;
-            # the compiled program must itself reproduce the validation
-            # step bitwise before it is trusted with the commit
-            vec = VectorReplayer.compile(journals, self.nprocs)
-            if vec is not None and any(
-                t != now for t in vec.run(t_decide, 1)
-            ):
-                vec = None
-            if vec is not None:
-                finals = vec.run(now, remaining, stats=rt.stats)
-            else:
-                finals = Replayer(journals, self.nprocs, stats=rt.stats).run(
-                    now, remaining
-                )
-        except ReplayUnsupported as exc:
-            self._abort(str(exc), "validation")
-            self._park_signal.fire(("go", None))
-            return
-        self.engaged = True
-        self.levels = max(len(j) for j in journals)
-        self.events_saved = remaining * sum(len(j) for j in journals)
-        self._park_signal.fire(("ff", finals))
-
 
 class StepLoop:
     """Benchmark-side driver of the per-step protocol.
@@ -973,7 +470,7 @@ class StepLoop:
     __slots__ = ("_comm", "_ctl", "_total", "_idx", "_done")
 
     def __init__(self, comm: "Communicator", total: int,
-                 ctl: Optional[FastForwardController]) -> None:
+                 ctl: Optional["ReplayController"]) -> None:
         self._comm = comm
         self._ctl = ctl
         self._total = total

@@ -1,19 +1,20 @@
-"""Wavefront fast path: precomputed KBA dependency DAG with vectorized
-level-set replay.
+"""Replay of periodic steps: precomputed dependency DAG with vectorized
+level-set relaxation, and the controller that drives the protocol.
 
-The steady-state fast-forward (:mod:`repro.spechpc.fastforward`) requires
-globally synchronized step boundaries — every journal ends in a
-full-communicator collective and all ranks cross each boundary at one
-instant.  The paper's wavefront codes violate both: minisweep's KBA sweep
-has **no collective at all** (Table 1) and its rendezvous serialization
+The paper's nine codes share one shape — periodic time steps of compute
+and halo p2p, usually closed by a collective.  Minisweep's KBA sweep has
+**no collective at all** (Table 1) and its rendezvous serialization
 ripple (Sect. 4.1.5) keeps the pipeline *skewed* — rank clocks at a step
-boundary differ by design.  This module adds a second replay tier for
-exactly that shape.
+boundary differ by design.  The level-set DAG serves every one of these
+shapes: a collective is just a gate node every rank's chain passes
+through, and skewed boundaries are just per-rank start clocks.
 
 How it works
 ------------
-The journaling protocol is unchanged (two recorded steps, periodicity
-check, validation step).  What differs is the decision and the replay:
+:class:`ReplayController` runs the journaling protocol of
+:mod:`repro.spechpc.fastforward` (two recorded steps, periodicity check,
+validation step); the decision compiles and the replay executes a
+:class:`WavefrontProgram`:
 
 * **DAG compilation** — the per-rank op journals are compiled *once* into
   a dependency DAG over their send/receive *post nodes*: each op depends
@@ -22,7 +23,7 @@ check, validation step).  What differs is the decision and the replay:
   channel pairs with the k-th receive — MPI non-overtaking, exactly the
   mailbox's FIFO).  Compilation requires the per-channel send and receive
   counts to balance within the step; otherwise matches would cross step
-  boundaries and the tier declines.
+  boundaries and replay declines.
 * **Level-set scheduling** — the DAG is leveled with a work-list pass
   over the per-rank chains (each rank contributes at most one frontier
   node, so leveling is O(total ops)).  Every level holds at most one op
@@ -50,15 +51,28 @@ on the same step.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.des.simulator import Signal
 from repro.spechpc.fastforward import (
-    _COMPUTE_COUNTERS,
-    FastForwardController,
+    DECIDE,
+    PARK,
+    RECORD_FIRST,
     Replayer,
     ReplayUnsupported,
+    StepRecorder,
+)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.smpi.comm import Communicator
+    from repro.smpi.runtime import MpiRuntime
+
+#: counter names a compute phase updates, in the communicator's order
+_COMPUTE_COUNTERS = (
+    "flops", "simd_flops", "mem_bytes", "l3_bytes", "l2_bytes",
+    "busy_seconds", "heat_seconds", "heat_busy_seconds",
 )
 
 
@@ -515,61 +529,163 @@ class WavefrontProgram:
         return [float(x) for x in t]
 
 
-class WavefrontController(FastForwardController):
-    """Fast-forward controller with a wavefront (level-set DAG) tier.
+class ReplayController:
+    """Per-run coordinator of the record/decide/replay protocol (see
+    :mod:`repro.spechpc.fastforward`).
 
-    Runs the same boundary protocol as the base controller.  At the
-    DECIDE boundary it first tries the synchronized tier (when
-    ``allow_sync``); if that declines for a *structural* reason — no
-    collective boundary, skewed clocks — it compiles the journals into a
-    :class:`WavefrontProgram` instead.  At the PARK boundary the program
-    must reproduce the engine's observed DECIDE -> PARK step bitwise from
-    the per-rank boundary clocks (and the scalar replayer is
-    cross-checked on the same step) before the remaining steps are
-    replayed and landed via ``call_at``.
-
-    ``allow_sync=False`` (the runner's ``fast_forward=False,
-    wavefront=True`` combination) forces the wavefront tier even for
-    benchmarks the synchronized tier could handle — the validation
-    configuration proving the DAG replay alone is exact.
+    Created by the harness only for eligible runs (no noise, no faults,
+    no tracing, memoization on, ``wavefront=True``).  One instance serves
+    all ranks of the run.  At the DECIDE boundary it runs the decline
+    checks and compiles the journaled step into a
+    :class:`WavefrontProgram`.  At the PARK boundary the program must
+    reproduce the engine's observed DECIDE -> PARK step bitwise from the
+    per-rank boundary clocks (and the scalar
+    :class:`~repro.spechpc.fastforward.Replayer` is cross-checked on the
+    same step) before the remaining steps are replayed and landed via
+    ``call_at``.
     """
 
-    def __init__(
-        self, runtime, sim_steps: int, exec_model=None, allow_sync: bool = True
-    ) -> None:
-        super().__init__(runtime, sim_steps, exec_model)
-        self.allow_sync = allow_sync
-        #: "sync" | "wavefront" once decided
-        self.mode: Optional[str] = None
+    def __init__(self, runtime: "MpiRuntime", sim_steps: int,
+                 exec_model=None) -> None:
+        self.runtime = runtime
+        self.sim_steps = sim_steps
+        self.exec_model = exec_model
+        self.nprocs = runtime.nprocs
+        self.recorder: Optional[StepRecorder] = None
+        self.dead = False
+        self.engaged = False
         self.program: Optional[WavefrontProgram] = None
+        self._journals: dict[int, list[list]] = {}   # step -> per-rank ops
+        #: boundary index -> per-rank clock (rank-indexed; None = not there
+        #: yet) — rank-indexed so skewed boundaries keep their per-rank
+        #: identity instead of arrival order
+        self._boundary_now: dict[int, list[Optional[float]]] = {}
+        self._arrived: dict[int, int] = {}
+        self._park_signal = Signal("fast-forward-decision")
+        self._gen0: Optional[int] = None
+        self.abort_reason: Optional[str] = None
+        self.abort_code: Optional[str] = None
+        #: DAG depth and analytically-skipped op count, set on engage
+        #: (exposed via :meth:`metrics` for the ``wavefront`` counters)
+        self.levels = 0
+        self.events_saved = 0
+        if sim_steps < PARK + 1:
+            self._abort("no steps left to fast-forward", "steps")
+
+    # --- per-rank boundary hook -------------------------------------------
+
+    def boundary(self, comm: "Communicator", idx: int) -> Optional[Signal]:
+        """Called by every rank right before it starts step ``idx``.
+        Returns a signal to park on at the decision boundary, else None."""
+        if self.dead:
+            return None
+        rt = self.runtime
+        rank = comm.rank
+        if idx == RECORD_FIRST:
+            if self.recorder is None:
+                self.recorder = StepRecorder(self.nprocs)
+                rt.recorder = self.recorder
+                self._gen0 = getattr(self.exec_model, "generation", None)
+            self.recorder.begin_step(rank)
+        elif idx == RECORD_FIRST + 1:
+            self._journals.setdefault(idx - 1, [None] * self.nprocs)[rank] = (
+                self.recorder.end_step(rank)
+            )
+            self.recorder.begin_step(rank)
+            self._note_boundary(idx, rank, rt.sim.now)
+        elif idx == DECIDE:
+            self._journals.setdefault(idx - 1, [None] * self.nprocs)[rank] = (
+                self.recorder.end_step(rank)
+            )
+            if self._note_boundary(idx, rank, rt.sim.now):
+                rt.recorder = None
+                self._decide()
+        elif idx == PARK:
+            if self.program is None:
+                # this rank ran a whole step past DECIDE before the last
+                # rank reached it; parking it would strand the ranks that
+                # still need its messages, so replay declines instead
+                self._abort(
+                    f"rank {rank} reached the park boundary before the "
+                    "decision", "skew",
+                )
+                return None
+            if self._note_boundary(idx, rank, rt.sim.now):
+                self._execute()
+            return self._park_signal
+        return None
+
+    def _note_boundary(self, idx: int, rank: int, now: float) -> bool:
+        """Record a rank's boundary timestamp; True for the last arrival."""
+        nows = self._boundary_now.get(idx)
+        if nows is None:
+            nows = self._boundary_now[idx] = [None] * self.nprocs
+        nows[rank] = now
+        n = self._arrived.get(idx, 0) + 1
+        self._arrived[idx] = n
+        return n == self.nprocs
+
+    def _abort(self, reason: str, code: str = "aborted") -> None:
+        self.abort_reason = reason
+        self.abort_code = code
+        self.dead = True
+        self.runtime.recorder = None
+
+    # --- decision ----------------------------------------------------------
+
+    def _decline_reason(self) -> Optional[tuple[str, str]]:
+        """Supported ops, stable pricing, complete and periodic journals.
+        Returns a ``(code, reason)`` pair or ``None``."""
+        rec = self.recorder
+        if rec.unsupported is not None:
+            return ("unsupported-op", f"unsupported op: {rec.unsupported}")
+        gen = getattr(self.exec_model, "generation", None)
+        if self._gen0 is None or gen != self._gen0:
+            return ("pricing-unstable", "phase pricing not stable while recording")
+        j1 = self._journals.get(RECORD_FIRST)
+        j2 = self._journals.get(RECORD_FIRST + 1)
+        if j1 is None or j2 is None or any(x is None for x in j1 + j2):
+            return ("incomplete-journals", "incomplete journals")
+        for r in range(self.nprocs):
+            if j1[r] != j2[r]:
+                return ("not-periodic", f"rank {r} step structure not periodic")
+        return None
 
     def _decide(self) -> None:
-        declined = self._common_decline_reason()
+        """Last rank at the DECIDE boundary: check eligibility and compile
+        the program, which arms the parking boundary (nothing blocks
+        here — ranks already proceeded)."""
+        declined = self._decline_reason()
         if declined is not None:
             return self._abort(declined[1], declined[0])
-        if self.allow_sync:
-            sync_declined = self._sync_decline_reason()
-            if sync_declined is None:
-                self.mode = "sync"
-                self._park = True
-                return
-        else:
-            sync_declined = ("sync-disabled", "synchronized tier disabled")
-        journals = self._journals[self.RECORD_FIRST + 1]
+        journals = self._journals[RECORD_FIRST + 1]
         try:
             self.program = WavefrontProgram.compile(journals, self.nprocs)
         except ReplayUnsupported as exc:
-            return self._abort(f"{sync_declined[1]}; {exc}", "structure")
-        self.mode = "wavefront"
-        self._park = True
+            self._abort(str(exc), "structure")
 
-    def _execute(self, now: float) -> None:
-        if self.mode != "wavefront":
-            return super()._execute(now)
+    # --- observability -------------------------------------------------------
+
+    def metrics(self) -> dict[str, float]:
+        """Post-run tier-decision counters (the ``wavefront`` metrics
+        source; see :mod:`repro.obs.metrics`)."""
+        if self.engaged:
+            return {
+                "eligible": 1.0,
+                "levels": float(self.levels),
+                "events_saved": float(self.events_saved),
+            }
+        code = self.abort_code if self.abort_code is not None else "undecided"
+        return {f"declined.{code}": 1.0}
+
+    # --- engagement ---------------------------------------------------------
+
+    def _execute(self) -> None:
+        """Last rank at the PARK boundary: verify, validate, replay, fire."""
         rt = self.runtime
         prog = self.program
-        t_decide = self._boundary_now[self.DECIDE]
-        t_park = self._boundary_now[self.PARK]
+        t_decide = self._boundary_now[DECIDE]
+        t_park = self._boundary_now[PARK]
         try:
             if any(x is None for x in t_decide) or any(x is None for x in t_park):
                 raise ReplayUnsupported("incomplete boundary clocks")
@@ -585,13 +701,13 @@ class WavefrontController(FastForwardController):
                     "validation failed: level-set replay does not reproduce "
                     "the simulated boundary clocks"
                 )
-            journals = self._journals[self.RECORD_FIRST + 1]
+            journals = self._journals[RECORD_FIRST + 1]
             if Replayer(journals, self.nprocs).run(t_decide, 1) != t_park:
                 raise ReplayUnsupported(
                     "validation failed: scalar replay disagrees with the "
                     "level-set program"
                 )
-            remaining = self.sim_steps - self.PARK
+            remaining = self.sim_steps - PARK
             finals = prog.run(t_park, remaining, stats=rt.stats)
         except ReplayUnsupported as exc:
             self._abort(str(exc), "validation")

@@ -13,7 +13,7 @@ alter simulated results it should not have?*
   does not move (a well-formed model is invariant under every legal
   schedule).
 * :mod:`repro.validate.differential` — runs the full engine flag matrix
-  (fast path × matcher × memoization × fast-forward × workers) and
+  (fast path × matcher × memoization × replay × workers) and
   diffs complete traces; the fast flavors must be bit-identical to the
   references.
 * :mod:`repro.validate.prediction` — holds every :mod:`repro.predict`

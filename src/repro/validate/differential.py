@@ -2,20 +2,19 @@
 
 The engine carries several "same answer, different algorithm" pairs: the
 DES run-queue fast path vs the pure heap, the indexed mailbox matcher vs
-the linear scan, the memoized pricing model vs fresh pricing, the
-steady-state fast-forward vs full stepping, and the parallel sweep
-executor vs the serial loop.  Every pair claims bit-identical results;
-this module is where that claim is *checked* rather than assumed.
+the linear scan, the memoized pricing model vs fresh pricing, replay of
+periodic steps vs full stepping, and the parallel sweep executor vs the
+serial loop.  Every pair claims bit-identical results; this module is
+where that claim is *checked* rather than assumed.
 
 :func:`differential_run` executes one job in every mode of the flag
-matrix (24 = fast_path × matcher × memoize × replay tier, the tier being
-off / fast-forward / fast-forward+wavefront) plus a workers>1 sweep,
-fingerprints each (see :mod:`repro.validate.golden`), and — for the
-trace-compatible subset — diffs complete event timelines against the
-all-reference mode, reporting the first mismatching trace record with
-its mode, rank, time, and kind.  (The fourth tier combination — the
-wavefront tier *forced* with the synchronized tier disabled — is covered
-by the golden-corpus test in ``tests/test_wavefront.py``.)
+matrix (16 = fast_path × matcher × memoize × replay on/off) plus a
+workers>1 sweep, fingerprints each (see :mod:`repro.validate.golden`),
+and — for the trace-compatible subset — diffs complete event timelines
+against the all-reference mode, reporting the first mismatching trace
+record with its mode, rank, time, and kind.  Jobs simulate at least
+``PARK + 1`` steps so the replay axis actually engages; the report counts
+the modes in which it did.
 
 :func:`bandwidth_scheduler_differential` covers the one deliberately
 *non*-bitwise pair: the two :class:`~repro.des.resources.
@@ -29,7 +28,7 @@ from __future__ import annotations
 import itertools
 import random
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from repro.machine.cluster import ClusterSpec
@@ -44,41 +43,31 @@ class Mode:
     fast_path: bool
     matcher: str
     memoize: bool
-    fast_forward: bool
-    wavefront: bool = False
+    wavefront: bool
 
     @property
     def label(self) -> str:
-        tier = (
-            "wf" if self.wavefront
-            else ("ff" if self.fast_forward else "noff")
-        )
         return (
             f"{'fastpath' if self.fast_path else 'heap'}"
             f"+{self.matcher}"
             f"+{'memo' if self.memoize else 'nomemo'}"
-            f"+{tier}"
+            f"+{'wf' if self.wavefront else 'nowf'}"
         )
 
 
 #: The all-reference mode every other mode is diffed against: pure heap,
 #: linear matcher, fresh pricing, full stepping.
 REFERENCE_MODE = Mode(
-    fast_path=False, matcher="linear", memoize=False, fast_forward=False,
-    wavefront=False,
+    fast_path=False, matcher="linear", memoize=False, wavefront=False
 )
-
-#: Replay-tier axis of the matrix: tier off, synchronized fast-forward,
-#: fast-forward with the wavefront tier on top (the production default).
-_TIERS = ((False, False), (True, False), (True, True))
 
 
 def flag_matrix() -> list[Mode]:
-    """All 24 engine modes, reference first."""
+    """All 16 engine modes, reference first."""
     modes = [
-        Mode(fast_path=fp, matcher=m, memoize=mz, fast_forward=ff, wavefront=wf)
-        for fp, m, mz, (ff, wf) in itertools.product(
-            (False, True), ("linear", "indexed"), (False, True), _TIERS
+        Mode(fast_path=fp, matcher=m, memoize=mz, wavefront=wf)
+        for fp, m, mz, wf in itertools.product(
+            (False, True), ("linear", "indexed"), (False, True), (False, True)
         )
     ]
     modes.sort(key=lambda m: m != REFERENCE_MODE)  # stable: reference first
@@ -112,6 +101,8 @@ class DifferentialReport:
     nprocs: int
     suite: str
     modes: int
+    #: engine modes whose run engaged replay (``meta["wavefront"]``)
+    engaged: int
     reference_digest: str
     mismatches: tuple[ModeMismatch, ...]
 
@@ -122,7 +113,7 @@ class DifferentialReport:
     def summary(self) -> str:
         head = (
             f"{self.benchmark} on {self.cluster} nprocs={self.nprocs}: "
-            f"{self.modes} mode(s)"
+            f"{self.modes} mode(s), {self.engaged} replay-engaged"
         )
         if self.ok:
             return f"{head} — conformant"
@@ -160,27 +151,31 @@ def differential_run(
     """Run one job through the full flag matrix and diff everything
     against the all-reference mode.
 
-    ``trace_diff`` additionally replays the eight fast-forward-off modes
-    with full traces and compares complete timelines (tracing forces the
-    fast-forward off, so FF-on modes have no distinct traced flavor).
+    ``sim_steps=None`` simulates the benchmark's default step count, but
+    at least ``PARK + 1`` so that replay has a step left to engage on.
+    ``trace_diff`` additionally replays the eight replay-off modes with
+    full traces and compares complete timelines (tracing forces replay
+    off, so replay-on modes have no distinct traced flavor).
     ``workers`` adds a ``run_many(workers=2)`` sweep asserting the
     process-pool path returns the same fingerprints as in-process runs.
     """
     from repro.harness.parallel import RunSpec, run_many
     from repro.harness.runner import run  # lazy: harness imports us
     from repro.machine.registry import get_cluster
+    from repro.spechpc.fastforward import PARK
     from repro.spechpc.suite import get_benchmark
 
     bench = get_benchmark(benchmark) if isinstance(benchmark, str) else benchmark
     clus = get_cluster(cluster) if isinstance(cluster, str) else cluster
+    if sim_steps is None:
+        sim_steps = max(bench.default_sim_steps(suite), PARK + 1)
 
     modes = flag_matrix()
     results = {
         mode: run(
             bench, clus, nprocs, suite=suite, sim_steps=sim_steps,
             fast_path=mode.fast_path, matcher=mode.matcher,
-            memoize=mode.memoize, fast_forward=mode.fast_forward,
-            wavefront=mode.wavefront,
+            memoize=mode.memoize, wavefront=mode.wavefront,
         )
         for mode in modes
     }
@@ -193,10 +188,10 @@ def differential_run(
             mode: run(
                 bench, clus, nprocs, suite=suite, sim_steps=sim_steps,
                 trace=True, fast_path=mode.fast_path, matcher=mode.matcher,
-                memoize=mode.memoize, fast_forward=False, wavefront=False,
+                memoize=mode.memoize, wavefront=False,
             ).trace
             for mode in modes
-            if not mode.fast_forward and not mode.wavefront
+            if not mode.wavefront
         }
 
     mismatches: list[ModeMismatch] = []
@@ -208,10 +203,7 @@ def differential_run(
             continue
         field = record_diff(ref_fp.record, fp.record) or "<digest only>"
         first = None
-        base_mode = Mode(
-            fast_path=mode.fast_path, matcher=mode.matcher,
-            memoize=mode.memoize, fast_forward=False, wavefront=False,
-        )
+        base_mode = replace(mode, wavefront=False)
         if base_mode in traces:
             first = _first_trace_diff(traces[REFERENCE_MODE], traces[base_mode])
         mismatches.append(
@@ -243,7 +235,7 @@ def differential_run(
         ] * 2
         pooled = run_many(specs, workers=2)
         nmodes += 1
-        default_fp = fps[Mode(True, "indexed", True, True, True)]
+        default_fp = fps[Mode(True, "indexed", True, True)]
         for i, res in enumerate(pooled):
             fp = fingerprint(res)
             if fp != default_fp:
@@ -260,6 +252,7 @@ def differential_run(
         nprocs=nprocs,
         suite=suite,
         modes=nmodes,
+        engaged=sum(res.meta["wavefront"] for res in results.values()),
         reference_digest=ref_fp.digest,
         mismatches=tuple(mismatches),
     )
@@ -308,7 +301,7 @@ def observability_differential(
 ) -> ObservabilityReport:
     """Prove attaching observability does not perturb results.
 
-    Runs the job twice — plain (production flags, fast-forward eligible)
+    Runs the job twice — plain (production flags, replay eligible)
     and with a full trace plus the complete :mod:`repro.obs` pipeline
     (timeline classification, both pattern detectors, metrics snapshot,
     all three exporters) driven over it — and asserts the two result

@@ -87,7 +87,9 @@ def _perturb(ctx: LaneContext) -> list[str]:
 
 def _differential(ctx: LaneContext) -> list[str]:
     """Engine flag matrix per job, plus the bandwidth-scheduler
-    differential once (it lives below MPI, so it has no job axis)."""
+    differential once (it lives below MPI, so it has no job axis).  A
+    job in which no mode engaged replay fails too: its replay axis
+    compared full stepping with full stepping."""
     from repro.validate.differential import (
         bandwidth_scheduler_differential,
         differential_run,
@@ -97,7 +99,8 @@ def _differential(ctx: LaneContext) -> list[str]:
                 for mm in bandwidth_scheduler_differential()]
     reports = (differential_run(b, c, n, suite=ctx.suite)
                for b, c, n in ctx.jobs())
-    return failures + [r.summary() for r in reports if not r.ok]
+    return failures + [r.summary() for r in reports
+                       if not (r.ok and r.engaged)]
 
 
 def _prediction(ctx: LaneContext) -> list[str]:

@@ -185,7 +185,7 @@ def test_bandwidth_epoch_guard_ignores_stale_callbacks():
 # steady-state fast-forward
 # --------------------------------------------------------------------------
 
-_REF = dict(fast_forward=False, matcher="linear", fast_path=False, memoize=False)
+_REF = dict(wavefront=False, matcher="linear", fast_path=False, memoize=False)
 
 
 def _fields(r):
@@ -197,21 +197,17 @@ def test_fast_forward_engages_bit_identical(name):
     bench = get_benchmark(name)
     fast = run(bench, CLUSTER_A, 24, sim_steps=10)
     ref = run(bench, CLUSTER_A, 24, sim_steps=10, **_REF)
-    assert fast.meta["fast_forward"] is True
-    assert ref.meta["fast_forward"] is False
+    assert fast.meta["wavefront"] is True
+    assert ref.meta["wavefront"] is False
     assert _fields(fast) == _fields(ref)
 
 
 def test_fast_forward_ineligible_structure_falls_back():
     """minisweep has no collective, so step boundaries never synchronize:
-    the *synchronized* tier must decline (wavefront disabled) and the run
-    stays bit-identical; with the wavefront tier allowed (the default)
-    the same structure engages and is still bit-identical."""
+    the level-set replay still engages on that structure and lands
+    bit-identical to full stepping."""
     bench = get_benchmark("minisweep")
-    sync_only = run(bench, CLUSTER_A, 12, sim_steps=6, wavefront=False)
     ref = run(bench, CLUSTER_A, 12, sim_steps=6, **_REF)
-    assert sync_only.meta["fast_forward"] is False
-    assert _fields(sync_only) == _fields(ref)
     wf = run(bench, CLUSTER_A, 12, sim_steps=6)
     assert wf.meta["wavefront"] is True
     assert _fields(wf) == _fields(ref)
@@ -220,7 +216,7 @@ def test_fast_forward_ineligible_structure_falls_back():
 @pytest.mark.parametrize(
     "flags",
     [
-        dict(fast_forward=False),
+        dict(wavefront=False),
         dict(matcher="linear"),
         dict(fast_path=False),
         dict(memoize=False),
@@ -233,6 +229,9 @@ def test_reference_flags_independently_bit_identical(flags):
     bench = get_benchmark("lbm")
     fast = run(bench, CLUSTER_A, 24, sim_steps=10)
     ref = run(bench, CLUSTER_A, 24, sim_steps=10, **flags)
+    assert fast.meta["wavefront"] is True
+    if "wavefront" in flags:
+        assert ref.meta["wavefront"] is False  # full stepping, no replay
     assert _fields(fast) == _fields(ref)
 
 
@@ -253,7 +252,7 @@ def test_fast_forward_forced_off(kwargs):
     event-level fidelity."""
     kwargs.setdefault("sim_steps", 8)
     r = run(get_benchmark("lbm"), CLUSTER_A, 12, **kwargs)
-    assert r.meta["fast_forward"] is False
+    assert r.meta["wavefront"] is False
 
 
 def test_fast_forward_noisy_run_unchanged_by_flag():
@@ -261,7 +260,7 @@ def test_fast_forward_noisy_run_unchanged_by_flag():
     bench = get_benchmark("lbm")
     a = run(bench, CLUSTER_A, 12, sim_steps=8, noise_sigma=0.02, seed=7)
     b = run(bench, CLUSTER_A, 12, sim_steps=8, noise_sigma=0.02, seed=7,
-            fast_forward=False)
+            wavefront=False)
     assert _fields(a) == _fields(b)
 
 

@@ -226,7 +226,7 @@ def test_degraded_link_moves_only_wait_components():
     """A communication fault must show up *only* where communication is
     accounted: per-rank compute (and all counters) are bit-identical to
     the clean run, MPI wait components grow, the makespan grows, and the
-    steady-state fast-forward declines (faults force full fidelity)."""
+    replay declines (faults force full fidelity)."""
     from repro.validate.golden import canonical_record
 
     plan = FaultPlan(
@@ -244,7 +244,7 @@ def test_degraded_link_moves_only_wait_components():
     assert rec_faulty["rank_wait"] != rec_clean["rank_wait"]
     assert faulty.elapsed > clean.elapsed
     assert faulty.mpi_time > clean.mpi_time
-    assert faulty.meta["fast_forward"] is False
+    assert faulty.meta["wavefront"] is False
 
     # every per-rank difference is confined to MPI_* kinds
     for per_clean, per_faulty in zip(clean.rank_times, faulty.rank_times):

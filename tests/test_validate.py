@@ -133,7 +133,7 @@ def test_sanitize_clean_benchmark_is_invariant():
 
 def test_perturbed_run_is_full_fidelity():
     r = run(get_benchmark("lbm"), get_cluster("A"), 8, perturb_seed=1)
-    assert r.meta["fast_forward"] is False
+    assert r.meta["wavefront"] is False
     assert r.meta["perturb_seed"] == 1
 
 
@@ -165,19 +165,18 @@ def test_sanitize_rejects_bad_args():
 
 def test_flag_matrix_shape():
     modes = flag_matrix()
-    assert len(modes) == 24
-    assert len(set(modes)) == 24
+    assert len(modes) == 16
+    assert len(set(modes)) == 16
     assert modes[0] == REFERENCE_MODE
     labels = {m.label for m in modes}
-    assert "heap+linear+nomemo+noff" in labels
-    assert "fastpath+indexed+memo+ff" in labels
+    assert "heap+linear+nomemo+nowf" in labels
     assert "fastpath+indexed+memo+wf" in labels
 
 
 def test_differential_run_conformant():
     rep = differential_run("soma", "A", 8, workers=False)
     assert rep.ok
-    assert rep.modes == 24
+    assert rep.modes == 16
     assert "conformant" in rep.summary()
 
 
@@ -186,7 +185,19 @@ def test_differential_run_workers_axis():
         "lbm", "A", 4, trace_diff=False, workers=True
     )
     assert rep.ok
-    assert rep.modes == 25  # 24 engine modes + the workers=2 sweep
+    assert rep.modes == 17  # 16 engine modes + the workers=2 sweep
+
+
+@pytest.mark.parametrize("name", ["lbm", "minisweep"])
+def test_differential_run_engages_replay_at_default_steps(name):
+    """Without ``sim_steps`` the matrix still simulates enough steps for
+    replay to engage, so its replay axis compares replay with full
+    stepping: the four replay-on modes with memoized pricing engage
+    (un-memoized pricing declines by design)."""
+    rep = differential_run(name, "A", 8, trace_diff=False, workers=False)
+    assert rep.ok
+    assert rep.engaged == 4
+    assert "4 replay-engaged" in rep.summary()
 
 
 def test_bandwidth_scheduler_differential_clean():
@@ -202,7 +213,7 @@ def test_invariants_pass_on_real_run():
     assert summary["sends"] == summary["matches"] > 0
     assert summary["collectives"] > 0
     assert summary["clock_checks"] > 0
-    assert r.meta["fast_forward"] is False  # checker forces full fidelity
+    assert r.meta["wavefront"] is False  # checker forces full fidelity
 
 
 def test_invariants_bit_identical_to_unchecked_run():

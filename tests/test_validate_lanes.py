@@ -118,3 +118,23 @@ def test_every_lane_passes_on_a_small_selection(capsys):
     assert "all validations passed" in out
     for name in LANES:
         assert f"{name} |     ok |        0" in out
+
+
+def test_differential_lane_fails_when_replay_never_engages(
+    monkeypatch, capsys
+):
+    """A conformant matrix in which no mode engaged replay compared full
+    stepping with full stepping only: the lane reports it."""
+    from repro.validate import differential
+
+    def no_replay(benchmark, cluster, nprocs, suite="tiny"):
+        return differential.DifferentialReport(
+            benchmark=benchmark, cluster=cluster, nprocs=nprocs, suite=suite,
+            modes=16, engaged=0, reference_digest="0" * 64, mismatches=(),
+        )
+
+    monkeypatch.setattr(differential, "differential_run", no_replay)
+    argv = ["validate", "--lane", "differential", "-b", "lbm", "-c", "A",
+            "-n", "4"]
+    assert main(argv) == 1
+    assert "0 replay-engaged" in capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Tests for the wavefront replay tier (precomputed KBA dependency DAG
+"""Tests for replay by level-set DAG (precomputed dependency DAG
 with vectorized level-set replay, :mod:`repro.spechpc.wavefront`).
 
 Four layers of evidence:
@@ -10,8 +10,7 @@ Four layers of evidence:
   with the tier on and off;
 * eligibility: anything that perturbs or observes individual steps
   declines the tier, with the decline reason surfaced as a metric;
-* the golden-corpus grid replayed with the tier *forced* on
-  (``fast_forward=False`` leaves only the wavefront tier) against the
+* the golden-corpus grid replayed on the default path against the
   full-fidelity reference.
 """
 
@@ -198,7 +197,7 @@ def test_minisweep_configs_fingerprint_identical(nprocs, blocks, recv_first):
     on = run(_minisweep(blocks, recv_first), CLUSTER_A, nprocs, sim_steps=6)
     off = run(
         _minisweep(blocks, recv_first), CLUSTER_A, nprocs, sim_steps=6,
-        fast_forward=False, wavefront=False, matcher="linear", memoize=False,
+        wavefront=False, matcher="linear", memoize=False,
     )
     assert on.meta["wavefront"] is True
     assert off.meta["wavefront"] is False
@@ -219,7 +218,7 @@ def test_minisweep_configs_fingerprint_identical(nprocs, blocks, recv_first):
         (dict(trace=True), "tracing"),
         (dict(memoize=False), "nomemo"),
         (dict(sim_steps=4), "steps"),
-        (dict(fast_forward=False, wavefront=False), "disabled"),
+        (dict(wavefront=False), "disabled"),
     ],
     ids=["noise", "faults", "tracing", "no-memoize", "short", "disabled"],
 )
@@ -230,8 +229,20 @@ def test_wavefront_declines(kwargs, code):
     kwargs.setdefault("sim_steps", 6)
     r = run(get_benchmark("minisweep"), CLUSTER_A, 8, **kwargs)
     assert r.meta["wavefront"] is False
-    assert r.meta["fast_forward"] is False
     assert r.meta["metrics"]["wavefront"] == {f"declined.{code}": 1.0}
+
+
+def test_rank_past_park_before_decision_declines():
+    """Weather's open halo chain on ClusterB at 16 ranks lets the edge
+    rank finish the DECIDE -> PARK step before the slowest rank reaches
+    DECIDE.  Parking the others would strand that rank in a deadlock;
+    replay declines instead and the run lands on the full-stepping
+    result."""
+    bench, cluster = get_benchmark("weather"), get_cluster("B")
+    r = run(bench, cluster, 16, sim_steps=8)
+    ref = run(bench, cluster, 16, sim_steps=8, wavefront=False)
+    assert r.meta["metrics"]["wavefront"] == {"declined.skew": 1.0}
+    assert fingerprint(r) == fingerprint(ref)
 
 
 def test_wavefront_engaged_metrics():
@@ -246,7 +257,7 @@ def test_wavefront_engaged_metrics():
 
 
 # --------------------------------------------------------------------------
-# golden corpus with the tier forced on
+# golden corpus on the default path
 # --------------------------------------------------------------------------
 
 
@@ -254,16 +265,13 @@ def test_wavefront_engaged_metrics():
     "case", list(golden_cases(scales=(1,))), ids=lambda c: c.slug
 )
 def test_golden_corpus_tier_forced_on(case):
-    """Every corpus benchmark on both clusters: ``fast_forward=False``
-    disables the synchronized tier, so the wavefront DAG alone must
-    carry the run — and land bit-identical to the full-fidelity
-    reference."""
+    """Every corpus benchmark on both clusters: the level-set DAG alone
+    carries the run — collective-closed or not — and lands bit-identical
+    to the full-fidelity reference."""
     bench = get_benchmark(case.benchmark)
     cluster = get_cluster(case.cluster)
-    ref = run(bench, cluster, case.nprocs, sim_steps=8,
-              fast_forward=False, wavefront=False)
-    forced = run(bench, cluster, case.nprocs, sim_steps=8,
-                 fast_forward=False)
+    ref = run(bench, cluster, case.nprocs, sim_steps=8, wavefront=False)
+    forced = run(bench, cluster, case.nprocs, sim_steps=8)
     assert forced.meta["wavefront"] is True
     assert ref.meta["wavefront"] is False
     assert fingerprint(forced) == fingerprint(ref)
